@@ -19,23 +19,13 @@
 
 using namespace viewmat;
 
-namespace {
-
-bool SupportsModel2(sim::StrategyKind kind) {
-  return kind == sim::StrategyKind::kQueryModification ||
-         kind == sim::StrategyKind::kImmediate ||
-         kind == sim::StrategyKind::kDeferred;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const sim::BenchCli cli = sim::BenchCli::Parse(argc, argv);
   sim::BenchReport report("bench_fault_sweep", cli.quick);
   int grand_runs = 0;
   for (const int model : {1, 2}) {
     for (const sim::StrategyKind kind : sim::kAllStrategyKinds) {
-      if (model == 2 && !SupportsModel2(kind)) continue;
+      if (!sim::SupportsModel(kind, model)) continue;
       sim::FaultSweepOptions options;
       options.strategy = kind;
       options.model = model;

@@ -25,12 +25,6 @@ using namespace viewmat;
 
 namespace {
 
-bool SupportsModel2(sim::StrategyKind kind) {
-  return kind == sim::StrategyKind::kQueryModification ||
-         kind == sim::StrategyKind::kImmediate ||
-         kind == sim::StrategyKind::kDeferred;
-}
-
 /// Nearest-rank percentile over an unsorted sample (sorts a copy).
 double Percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0.0;
@@ -58,7 +52,7 @@ int main(int argc, char** argv) {
   std::vector<double> commit_waits;
   for (const int model : {1, 2}) {
     for (const sim::StrategyKind kind : sim::kAllStrategyKinds) {
-      if (model == 2 && !SupportsModel2(kind)) continue;
+      if (!sim::SupportsModel(kind, model)) continue;
       const std::string combo = "model" + std::to_string(model) + "." +
                                 sim::StrategyKindName(kind);
       for (const double update_fraction : update_fractions) {

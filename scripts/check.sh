@@ -20,8 +20,9 @@ quick=0
 echo "== plain build =="
 cmake -S . -B build >/dev/null
 cmake --build build -j "$jobs"
-echo "== plain tests (tier 1 + bench-smoke) =="
-ctest --test-dir build --output-on-failure -LE torture
+echo "== plain tests (tier 1 + bench-smoke, parallel, 3 passes) =="
+ctest --test-dir build --output-on-failure -j "$jobs" --repeat until-fail:3 \
+  -LE torture
 
 if [[ "$quick" == 1 ]]; then
   echo "check.sh --quick: OK"

@@ -394,8 +394,7 @@ SessionServer::CommitOutcome SessionServer::ApplyCommit(const Message& msg,
   Status st = driver->recovery()->wal()->Append(
       db::RecoveryManager::kSessionStamp, payload.data(),
       static_cast<uint16_t>(payload.size()));
-  if (st.ok() && (driver->kind() == sim::StrategyKind::kDeferred ||
-                  driver->kind() == sim::StrategyKind::kHybrid)) {
+  if (st.ok() && driver->journaled()) {
     st = driver->recovery()->SyncWal();
   }
   if (!st.ok()) {

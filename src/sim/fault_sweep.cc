@@ -65,11 +65,9 @@ Status RunOne(const FaultSweepOptions& options, const Params& params,
   disk.set_torn_writes(true);
   disk.set_max_faults(options.fault_budget);
   if (options.scripted_crashes) {
-    const bool journaled = options.strategy == StrategyKind::kDeferred ||
-                           options.strategy == StrategyKind::kHybrid;
     // Journaled strategies alternate between protocol-point crashes and
     // raw disk-op crashes; the RM-committing ones only announce disk ops.
-    if (journaled && rng.Uniform(2) == 0) {
+    if (driver->journaled() && rng.Uniform(2) == 0) {
       const size_t which = static_cast<size_t>(rng.Uniform(
           sizeof(kScriptablePoints) / sizeof(kScriptablePoints[0])));
       disk.ScriptCrash(kScriptablePoints[which],

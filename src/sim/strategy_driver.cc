@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
+#include "view/deferred.h"
+#include "view/hybrid.h"
+#include "view/immediate.h"
+#include "view/query_modification.h"
+#include "view/recompute_on_change.h"
 
 namespace viewmat::sim {
 
@@ -31,6 +36,13 @@ StatusOr<StrategyKind> ParseStrategyKind(const std::string& name) {
   if (name == "qm") return StrategyKind::kQueryModification;
   if (name == "recompute") return StrategyKind::kRecomputeOnChange;
   return Status::InvalidArgument("unknown strategy '" + name + "'");
+}
+
+bool SupportsModel(StrategyKind kind, int model) {
+  if (model == 1) return true;
+  return model == 2 && (kind == StrategyKind::kQueryModification ||
+                        kind == StrategyKind::kImmediate ||
+                        kind == StrategyKind::kDeferred);
 }
 
 Params TortureParams(const Params& base) {
@@ -162,16 +174,11 @@ StrategyDriver::StrategyDriver(const Options& options)
 
 StatusOr<std::unique_ptr<StrategyDriver>> StrategyDriver::Create(
     const Options& options) {
-  if (options.model != 1 && options.model != 2) {
-    return Status::InvalidArgument("strategy driver supports models 1 and 2");
-  }
-  if (options.model == 2 &&
-      options.kind != StrategyKind::kQueryModification &&
-      options.kind != StrategyKind::kImmediate &&
-      options.kind != StrategyKind::kDeferred) {
+  if (!SupportsModel(options.kind, options.model)) {
     return Status::InvalidArgument(
-        std::string("model 2 is not supported by the ") +
-        StrategyKindName(options.kind) + " strategy");
+        "model " + std::to_string(options.model) +
+        " is not supported by the " + StrategyKindName(options.kind) +
+        " strategy");
   }
   std::unique_ptr<StrategyDriver> driver(new StrategyDriver(options));
   VIEWMAT_RETURN_IF_ERROR(driver->Build());
@@ -200,41 +207,38 @@ Status StrategyDriver::Build() {
   recovery_ = std::make_unique<db::RecoveryManager>(&pool_, rm_options);
   recovery_->Register(rel_);
   if (r2_ != nullptr) recovery_->Register(r2_);
-  storage::LsnAllocator* lsns = recovery_->wal()->lsn_allocator();
+  const hr::AdFile::Options ad_options =
+      TortureAdOptions(options_.params, recovery_->wal()->lsn_allocator(),
+                       options_.group_commit);
 
+  // Builds the stored copy, then installs the strategy.
+  const auto install = [this](auto strategy) {
+    const Status st = strategy->InitializeFromBase();
+    strategy_ = std::move(strategy);
+    return st;
+  };
+  const bool m1 = options_.model == 1;
   switch (options_.kind) {
     case StrategyKind::kQueryModification:
-      if (options_.model == 1) {
-        qm_sp_ =
+      if (m1) {
+        strategy_ =
             std::make_unique<view::QmSelectProjectStrategy>(sp_def_, &tracker_);
-        qm_sp_->AttachRecovery(recovery_.get());
       } else {
-        qm_join_ = std::make_unique<view::QmJoinStrategy>(join_def_, &tracker_);
-        qm_join_->AttachRecovery(recovery_.get());
+        strategy_ = std::make_unique<view::QmJoinStrategy>(join_def_, &tracker_);
       }
       break;
     case StrategyKind::kImmediate:
-      immediate_ =
-          options_.model == 1
-              ? std::make_unique<view::ImmediateStrategy>(sp_def_, &tracker_)
-              : std::make_unique<view::ImmediateStrategy>(join_def_, &tracker_);
-      immediate_->AttachRecovery(recovery_.get());
-      VIEWMAT_RETURN_IF_ERROR(immediate_->InitializeFromBase());
+      VIEWMAT_RETURN_IF_ERROR(install(
+          m1 ? std::make_unique<view::ImmediateStrategy>(sp_def_, &tracker_)
+             : std::make_unique<view::ImmediateStrategy>(join_def_,
+                                                          &tracker_)));
       break;
     case StrategyKind::kDeferred:
-      deferred_ =
-          options_.model == 1
-              ? std::make_unique<view::DeferredStrategy>(
-                    sp_def_,
-                    TortureAdOptions(options_.params, lsns,
-                                     options_.group_commit),
-                    &tracker_)
-              : std::make_unique<view::DeferredStrategy>(
-                    join_def_,
-                    TortureAdOptions(options_.params, lsns,
-                                     options_.group_commit),
-                    &tracker_);
-      VIEWMAT_RETURN_IF_ERROR(deferred_->InitializeFromBase());
+      VIEWMAT_RETURN_IF_ERROR(
+          install(m1 ? std::make_unique<view::DeferredStrategy>(
+                           sp_def_, ad_options, &tracker_)
+                     : std::make_unique<view::DeferredStrategy>(
+                           join_def_, ad_options, &tracker_)));
       break;
     case StrategyKind::kSnapshot: {
       // Refresh before every query: the torture oracle demands exact
@@ -242,98 +246,47 @@ Status StrategyDriver::Build() {
       // configured away and only its crash behavior is under test.
       view::SnapshotStrategy::Options snap_options;
       snap_options.refresh_every_queries = 1;
-      snapshot_ = std::make_unique<view::SnapshotStrategy>(
+      auto snapshot = std::make_unique<view::SnapshotStrategy>(
           sp_def_, snap_options, &tracker_);
-      snapshot_->AttachRecovery(recovery_.get());
-      VIEWMAT_RETURN_IF_ERROR(snapshot_->InitializeFromBase());
+      snapshot_ = snapshot.get();
+      VIEWMAT_RETURN_IF_ERROR(install(std::move(snapshot)));
       break;
     }
     case StrategyKind::kRecomputeOnChange:
-      recompute_ = std::make_unique<view::RecomputeOnChangeStrategy>(
-          sp_def_, &tracker_);
-      recompute_->AttachRecovery(recovery_.get());
-      VIEWMAT_RETURN_IF_ERROR(recompute_->InitializeFromBase());
+      VIEWMAT_RETURN_IF_ERROR(
+          install(std::make_unique<view::RecomputeOnChangeStrategy>(
+              sp_def_, &tracker_)));
       break;
     case StrategyKind::kHybrid:
-      hybrid_ = std::make_unique<view::HybridStrategy>(
-          sp_def_,
-          TortureAdOptions(options_.params, lsns, options_.group_commit),
-          &tracker_);
-      VIEWMAT_RETURN_IF_ERROR(hybrid_->InitializeFromBase());
+      VIEWMAT_RETURN_IF_ERROR(install(std::make_unique<view::HybridStrategy>(
+          sp_def_, ad_options, &tracker_)));
       break;
   }
+  if (!journaled()) strategy_->AttachRecovery(recovery_.get());
   return pool_.FlushAll();
 }
 
 Status StrategyDriver::OnTransaction(const db::Transaction& txn) {
-  switch (options_.kind) {
-    case StrategyKind::kQueryModification:
-      return qm_sp_ != nullptr ? qm_sp_->OnTransaction(txn)
-                               : qm_join_->OnTransaction(txn);
-    case StrategyKind::kImmediate: return immediate_->OnTransaction(txn);
-    case StrategyKind::kDeferred: return deferred_->OnTransaction(txn);
-    case StrategyKind::kSnapshot: return snapshot_->OnTransaction(txn);
-    case StrategyKind::kRecomputeOnChange:
-      return recompute_->OnTransaction(txn);
-    case StrategyKind::kHybrid: return hybrid_->OnTransaction(txn);
-  }
-  return Status::Internal("unreachable");
+  return strategy_->OnTransaction(txn);
 }
 
 Status StrategyDriver::Query(int64_t lo, int64_t hi,
                              const view::MaterializedView::CountedVisitor& visit) {
-  switch (options_.kind) {
-    case StrategyKind::kQueryModification:
-      return qm_sp_ != nullptr ? qm_sp_->Query(lo, hi, visit)
-                               : qm_join_->Query(lo, hi, visit);
-    case StrategyKind::kImmediate: return immediate_->Query(lo, hi, visit);
-    case StrategyKind::kDeferred: return deferred_->Query(lo, hi, visit);
-    case StrategyKind::kSnapshot:
-      // The torture oracle demands exact answers; refresh away the
-      // staleness the snapshot scheme normally tolerates so only its crash
-      // behavior (and the refresh path itself) is under test.
-      if (snapshot_->stale_transactions() > 0) {
-        VIEWMAT_RETURN_IF_ERROR(snapshot_->RefreshNow());
-      }
-      return snapshot_->Query(lo, hi, visit);
-    case StrategyKind::kRecomputeOnChange:
-      return recompute_->Query(lo, hi, visit);
-    case StrategyKind::kHybrid: return hybrid_->Query(lo, hi, visit);
+  // The torture oracle demands exact answers; refresh away the staleness
+  // the snapshot scheme normally tolerates so only its crash behavior (and
+  // the refresh path itself) is under test.
+  if (snapshot_ != nullptr && snapshot_->stale_transactions() > 0) {
+    VIEWMAT_RETURN_IF_ERROR(snapshot_->RefreshNow());
   }
-  return Status::Internal("unreachable");
+  return strategy_->Query(lo, hi, visit);
 }
 
-Status StrategyDriver::Recover() {
-  switch (options_.kind) {
-    case StrategyKind::kQueryModification:
-      return qm_sp_ != nullptr ? qm_sp_->Recover() : qm_join_->Recover();
-    case StrategyKind::kImmediate: return immediate_->Recover();
-    case StrategyKind::kDeferred: return deferred_->Recover();
-    case StrategyKind::kSnapshot: return snapshot_->Recover();
-    case StrategyKind::kRecomputeOnChange: return recompute_->Recover();
-    case StrategyKind::kHybrid: return hybrid_->Recover();
-  }
-  return Status::Internal("unreachable");
-}
+Status StrategyDriver::Recover() { return strategy_->Recover(); }
 
-Status StrategyDriver::SyncWal() {
-  switch (options_.kind) {
-    case StrategyKind::kDeferred:
-      return deferred_->hypothetical()->mutable_ad()->SyncLog();
-    case StrategyKind::kHybrid:
-      return hybrid_->hypothetical()->mutable_ad()->SyncLog();
-    default: return recovery_->SyncWal();
-  }
-}
+Status StrategyDriver::SyncWal() { return strategy_->SyncLog(); }
 
 Status StrategyDriver::DiscardVolatileWal() {
-  switch (options_.kind) {
-    case StrategyKind::kDeferred:
-      return deferred_->hypothetical()->mutable_ad()->DiscardVolatileLog();
-    case StrategyKind::kHybrid:
-      return hybrid_->hypothetical()->mutable_ad()->DiscardVolatileLog();
-    default: return recovery_->DiscardVolatileWal();
-  }
+  return strategy_->DiscardVolatileLog();
 }
 
 Status StrategyDriver::Converge() {
@@ -348,62 +301,27 @@ Status StrategyDriver::Converge() {
   // resurrection.
   VIEWMAT_RETURN_IF_ERROR(SyncWal());
   VIEWMAT_RETURN_IF_ERROR(Recover());
-  switch (options_.kind) {
-    case StrategyKind::kDeferred: return deferred_->Refresh();
-    case StrategyKind::kHybrid: return hybrid_->Refresh();
-    case StrategyKind::kSnapshot: return snapshot_->RefreshNow();
-    default: return Status::OK();
-  }
+  return strategy_->Refresh();
 }
 
-uint64_t StrategyDriver::txn_seq() const {
-  switch (options_.kind) {
-    case StrategyKind::kDeferred: return deferred_->txn_seq();
-    case StrategyKind::kHybrid: return hybrid_->txn_seq();
-    default: return recovery_->txn_seq();
-  }
-}
+uint64_t StrategyDriver::txn_seq() const { return strategy_->txn_seq(); }
 
 uint64_t StrategyDriver::committed_txn_high_water() const {
-  switch (options_.kind) {
-    case StrategyKind::kDeferred: return deferred_->committed_txn_high_water();
-    case StrategyKind::kHybrid: return hybrid_->committed_txn_high_water();
-    default: return recovery_->last_committed_txn();
-  }
+  return strategy_->committed_txn_high_water();
 }
 
 Status StrategyDriver::VisibleBase(ViewMultiset* out) const {
   out->clear();
-  const auto visit = [&](const db::Tuple& t) {
+  return strategy_->ScanVisibleBase(rel_, [&](const db::Tuple& t) {
     (*out)[t] += 1;
     return true;
-  };
-  // Deferred and hybrid keep committed transactions in the differential
-  // until a fold; the hypothetical relation (base ∪ A − D) is what a reader
-  // is entitled to see.
-  constexpr int64_t kLo = std::numeric_limits<int64_t>::min();
-  constexpr int64_t kHi = std::numeric_limits<int64_t>::max();
-  switch (options_.kind) {
-    case StrategyKind::kDeferred:
-      return deferred_->hypothetical()->RangeScanByKey(kLo, kHi, visit);
-    case StrategyKind::kHybrid:
-      return hybrid_->hypothetical()->RangeScanByKey(kLo, kHi, visit);
-    default: return rel_->Scan(visit);
-  }
+  });
 }
 
-uint64_t StrategyDriver::recoveries() const {
-  switch (options_.kind) {
-    case StrategyKind::kDeferred: return deferred_->recoveries();
-    case StrategyKind::kHybrid: return hybrid_->recoveries();
-    default: return recovery_->recoveries();
-  }
-}
+uint64_t StrategyDriver::recoveries() const { return strategy_->recoveries(); }
 
 uint64_t StrategyDriver::degraded_queries() const {
-  return options_.kind == StrategyKind::kDeferred
-             ? deferred_->degraded_queries()
-             : 0;
+  return strategy_->degraded_queries();
 }
 
 }  // namespace viewmat::sim

@@ -13,12 +13,9 @@
 #include "hr/ad_file.h"
 #include "storage/buffer_pool.h"
 #include "storage/faulty_disk.h"
-#include "view/deferred.h"
-#include "view/hybrid.h"
-#include "view/immediate.h"
-#include "view/query_modification.h"
-#include "view/recompute_on_change.h"
+#include "view/materialized_view.h"
 #include "view/snapshot.h"
+#include "view/strategy.h"
 #include "view/view_def.h"
 #include "workload/workload.h"
 
@@ -46,6 +43,11 @@ inline constexpr StrategyKind kAllStrategyKinds[] = {
 
 const char* StrategyKindName(StrategyKind kind);
 StatusOr<StrategyKind> ParseStrategyKind(const std::string& name);
+
+/// Whether the driver can run `kind` over paper model `model`: every
+/// strategy maintains the Model 1 select-project view; only
+/// query-modification, immediate, and deferred maintain the Model 2 join.
+bool SupportsModel(StrategyKind kind, int model);
 
 /// The torture-sized parameter set (small database, small transactions)
 /// shared by the fault sweep and the crash oracle.
@@ -106,18 +108,18 @@ Status RecomputeFromBase(int model, const view::SelectProjectDef& sp,
 /// interface, so the fault sweep and the crash-equivalence oracle can drive
 /// every strategy through the same loop.
 ///
-/// Recovery wiring per strategy:
+/// Recovery wiring per strategy (the driver forwards every durability call
+/// to the strategy's view::ViewStrategy hooks):
 ///  - query-modification / immediate / snapshot / recompute-on-change
 ///    commit through a RecoveryManager (unified WAL, log-commit-then-apply);
-///  - deferred / hybrid use their AD-file WAL protocol, with the AD log
-///    drawing LSNs from the RecoveryManager's allocator so all records share
-///    one LSN space.
+///  - deferred / hybrid are journaled(): they use their AD-file WAL
+///    protocol, with the AD log drawing LSNs from the RecoveryManager's
+///    allocator so all records share one LSN space.
 class StrategyDriver {
  public:
   struct Options {
     StrategyKind kind = StrategyKind::kDeferred;
-    /// 1 = select-project view, 2 = join view. Model 2 is supported by
-    /// query-modification, immediate, and deferred.
+    /// 1 = select-project view, 2 = join view (see SupportsModel).
     int model = 1;
     /// Torture-sized already (the driver does not shrink).
     costmodel::Params params;
@@ -195,7 +197,13 @@ class StrategyDriver {
   const view::JoinDef& join_def() const { return join_def_; }
   db::RecoveryManager* recovery() { return recovery_.get(); }
   int model() const { return options_.model; }
-  StrategyKind kind() const { return options_.kind; }
+  /// True for the strategies that commit through their AD log and run the
+  /// journaled refresh protocol (deferred, hybrid) rather than committing
+  /// through recovery().
+  bool journaled() const {
+    return options_.kind == StrategyKind::kDeferred ||
+           options_.kind == StrategyKind::kHybrid;
+  }
 
  private:
   explicit StrategyDriver(const Options& options);
@@ -215,13 +223,9 @@ class StrategyDriver {
   view::JoinDef join_def_;
 
   std::unique_ptr<db::RecoveryManager> recovery_;
-  std::unique_ptr<view::QmSelectProjectStrategy> qm_sp_;
-  std::unique_ptr<view::QmJoinStrategy> qm_join_;
-  std::unique_ptr<view::ImmediateStrategy> immediate_;
-  std::unique_ptr<view::DeferredStrategy> deferred_;
-  std::unique_ptr<view::SnapshotStrategy> snapshot_;
-  std::unique_ptr<view::RecomputeOnChangeStrategy> recompute_;
-  std::unique_ptr<view::HybridStrategy> hybrid_;
+  std::unique_ptr<view::ViewStrategy> strategy_;
+  /// strategy_ when it is a snapshot, else null: Query() refreshes it first.
+  view::SnapshotStrategy* snapshot_ = nullptr;
 };
 
 }  // namespace viewmat::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -76,22 +77,26 @@ StatusOr<bool> DeferredStrategy::Map(const db::Tuple& t, db::Tuple* out) {
   return std::get<JoinDef>(def_).MapTuple(t, out, tracker_);
 }
 
-Status DeferredStrategy::InitializeFromBase() {
-  VIEWMAT_RETURN_IF_ERROR(view_->Clear());
-  Status inner = Status::OK();
-  VIEWMAT_RETURN_IF_ERROR(UpdatedRelation()->Scan([&](const db::Tuple& t) {
+db::Relation::TupleVisitor DeferredStrategy::ViewInserter(Status* inner) {
+  return [this, inner](const db::Tuple& t) {
     db::Tuple value;
     auto mapped = Map(t, &value);
     if (!mapped.ok()) {
-      inner = mapped.status();
+      *inner = mapped.status();
       return false;
     }
     if (*mapped) {
-      inner = view_->ApplyInsert(value);
-      if (!inner.ok()) return false;
+      *inner = view_->ApplyInsert(value);
+      if (!inner->ok()) return false;
     }
     return true;
-  }));
+  };
+}
+
+Status DeferredStrategy::InitializeFromBase() {
+  VIEWMAT_RETURN_IF_ERROR(view_->Clear());
+  Status inner = Status::OK();
+  VIEWMAT_RETURN_IF_ERROR(UpdatedRelation()->Scan(ViewInserter(&inner)));
   return inner;
 }
 
@@ -139,6 +144,25 @@ Status DeferredStrategy::OnTransaction(const db::Transaction& txn) {
   return hr_.RecordChanges(net);
 }
 
+Status DeferredStrategy::MapNets(const std::vector<db::Tuple>& a_net,
+                                 const std::vector<db::Tuple>& d_net,
+                                 std::vector<db::Tuple>* view_inserts,
+                                 std::vector<db::Tuple>* view_deletes) {
+  // Only marked (view-relevant) tuples produce view deltas; Map re-checks
+  // the predicate without re-charging the screen.
+  for (const db::Tuple& t : d_net) {
+    db::Tuple value;
+    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes, Map(t, &value));
+    if (contributes) view_deletes->push_back(std::move(value));
+  }
+  for (const db::Tuple& t : a_net) {
+    db::Tuple value;
+    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes, Map(t, &value));
+    if (contributes) view_inserts->push_back(std::move(value));
+  }
+  return Status::OK();
+}
+
 Status DeferredStrategy::RefreshUnsafe() {
   if (hr_.ad().entry_count() == 0) return Status::OK();
   const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kRefresh);
@@ -148,20 +172,9 @@ Status DeferredStrategy::RefreshUnsafe() {
   // One pass over the AD file (C_ADread), fold into the base relation, and
   // reset the differential.
   VIEWMAT_RETURN_IF_ERROR(hr_.Fold(&a_net, &d_net));
-  // Only marked (view-relevant) tuples produce view deltas; Map re-checks
-  // the predicate without re-charging the screen.
   std::vector<db::Tuple> view_inserts;
   std::vector<db::Tuple> view_deletes;
-  for (const db::Tuple& t : d_net) {
-    db::Tuple value;
-    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes, Map(t, &value));
-    if (contributes) view_deletes.push_back(std::move(value));
-  }
-  for (const db::Tuple& t : a_net) {
-    db::Tuple value;
-    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes, Map(t, &value));
-    if (contributes) view_inserts.push_back(std::move(value));
-  }
+  VIEWMAT_RETURN_IF_ERROR(MapNets(a_net, d_net, &view_inserts, &view_deletes));
   ++refresh_count_;
   return view_->ApplyDelta(view_inserts, view_deletes);
 }
@@ -181,17 +194,7 @@ Status DeferredStrategy::RefreshSafe() {
   VIEWMAT_RETURN_IF_ERROR(hr_.NetChanges(&a_net, &d_net));
   std::vector<db::Tuple> view_inserts;
   std::vector<db::Tuple> view_deletes;
-  for (const db::Tuple& t : d_net) {
-    db::Tuple value;
-    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes, Map(t, &value));
-    if (contributes) view_deletes.push_back(std::move(value));
-  }
-  for (const db::Tuple& t : a_net) {
-    db::Tuple value;
-    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes, Map(t, &value));
-    if (contributes) view_inserts.push_back(std::move(value));
-  }
-
+  VIEWMAT_RETURN_IF_ERROR(MapNets(a_net, d_net, &view_inserts, &view_deletes));
   prepare_span.End();
   // Phase 1: patch the view copy. The begin marker is durable before the
   // first view write, so a crash anywhere in here resolves to
@@ -265,19 +268,7 @@ Status DeferredStrategy::RebuildViewAndFold() {
   Status inner = Status::OK();
   VIEWMAT_RETURN_IF_ERROR(hr_.RangeScanByKey(
       std::numeric_limits<int64_t>::min(),
-      std::numeric_limits<int64_t>::max(), [&](const db::Tuple& t) {
-        db::Tuple value;
-        auto mapped = Map(t, &value);
-        if (!mapped.ok()) {
-          inner = mapped.status();
-          return false;
-        }
-        if (*mapped) {
-          inner = view_->ApplyInsert(value);
-          if (!inner.ok()) return false;
-        }
-        return true;
-      }));
+      std::numeric_limits<int64_t>::max(), ViewInserter(&inner)));
   VIEWMAT_RETURN_IF_ERROR(inner);
   VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kAfterViewPatch));
   VIEWMAT_RETURN_IF_ERROR(pool->FlushAll());
@@ -313,7 +304,8 @@ Status DeferredStrategy::RollForward() {
 Status DeferredStrategy::Recover() {
   if (!crash_safe()) {
     return Status::FailedPrecondition(
-        "deferred strategy has no WAL (AdFile::Options::enable_wal)");
+        std::string(name()) +
+        " strategy has no WAL (AdFile::Options::enable_wal)");
   }
   const storage::ScopedPhase phase_tag(tracker_,
                                        storage::Phase::kRefreshRecovery);
@@ -346,7 +338,12 @@ Status DeferredStrategy::Recover() {
   return RollForward();
 }
 
-Status DeferredStrategy::EnsureFresh() { return Refresh(); }
+Status DeferredStrategy::ScanVisibleBase(
+    const db::Relation* /*base*/,
+    const db::Relation::TupleVisitor& visit) const {
+  return hr_.RangeScanByKey(std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max(), visit);
+}
 
 Status DeferredStrategy::Refresh() {
   if (!crash_safe()) return RefreshUnsafe();
@@ -417,7 +414,7 @@ Status DeferredStrategy::Query(int64_t lo, int64_t hi,
   // a persistently failing device falls through to the degraded read.
   Status st = Status::OK();
   for (int attempt = 0; attempt < kMaxRecoveryAttempts; ++attempt) {
-    st = EnsureFresh();
+    st = Refresh();
     if (st.ok()) return view_->Query(lo, hi, visit);
   }
   return DegradedQuery(lo, hi, visit);

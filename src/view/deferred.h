@@ -82,16 +82,29 @@ class DeferredStrategy : public ViewStrategy {
   /// exposed so callers can refresh during idle time (§4 discusses
   /// asynchronous refresh as an optimization). In crash-safe mode this runs
   /// the journaled protocol and rolls forward any interrupted epoch first.
-  Status Refresh();
+  Status Refresh() override;
 
   /// Crash recovery: rebuilds the AD file from its WAL, derives the
   /// interrupted refresh phase from the durable markers, and rolls the
   /// protocol forward to completion. Idempotent; FailedPrecondition when
   /// the WAL is disabled.
-  Status Recover();
+  Status Recover() override;
+
+  /// The AD log is this strategy's commit log.
+  Status SyncLog() override { return hr_.mutable_ad()->SyncLog(); }
+  Status DiscardVolatileLog() override {
+    return hr_.mutable_ad()->DiscardVolatileLog();
+  }
+
+  /// Base ∪ A − D through the hypothetical relation: committed transactions
+  /// live in the differential until a fold.
+  Status ScanVisibleBase(const db::Relation* base,
+                         const db::Relation::TupleVisitor& visit)
+      const override;
 
   MaterializedView* view() { return view_.get(); }
   hr::HypotheticalRelation* hypothetical() { return &hr_; }
+  const hr::AdFile& ad() const { return hr_.ad(); }
   const TLockScreen& screen() const { return screen_; }
   uint64_t refresh_count() const { return refresh_count_; }
   uint64_t pending_tuples() const { return hr_.ad().entry_count(); }
@@ -105,18 +118,26 @@ class DeferredStrategy : public ViewStrategy {
     return phase_ != RecoveryPhase::kNone || hr_.ad().needs_recovery();
   }
   uint64_t refresh_epoch() const { return epoch_; }
-  uint64_t degraded_queries() const { return degraded_queries_; }
-  uint64_t recoveries() const { return recoveries_; }
+  uint64_t degraded_queries() const override { return degraded_queries_; }
+  uint64_t recoveries() const override { return recoveries_; }
 
-  /// Transaction ids issued so far (crash-safe mode). An OnTransaction()
-  /// error with txn_seq() unchanged means the transaction was rejected
-  /// before its commit record could possibly land.
-  uint64_t txn_seq() const { return txn_seq_; }
+  /// Transaction ids issued so far (crash-safe mode); see ViewStrategy.
+  uint64_t txn_seq() const override { return txn_seq_; }
   /// Highest transaction id known durably committed — advanced by an
   /// acknowledged commit or by Recover() reading the commit record from the
   /// log. Resolves ambiguous OnTransaction() failures: after a successful
   /// Recover(), the transaction committed iff its id is ≤ this water mark.
-  uint64_t committed_txn_high_water() const { return committed_txn_high_; }
+  uint64_t committed_txn_high_water() const override {
+    return committed_txn_high_;
+  }
+
+ protected:
+  /// The select-project definition; valid only for a strategy built from
+  /// one (the hybrid's router costs and scans through it).
+  const SelectProjectDef& sp_def() const {
+    return std::get<SelectProjectDef>(def_);
+  }
+  storage::CostTracker* tracker() const { return tracker_; }
 
  private:
   /// Recovery attempts per Query()/OnTransaction() before degrading or
@@ -127,6 +148,14 @@ class DeferredStrategy : public ViewStrategy {
 
   db::Relation* UpdatedRelation() const;
   StatusOr<bool> Map(const db::Tuple& t, db::Tuple* out);
+  /// Visitor inserting each visited tuple's view image into the copy; the
+  /// first failure lands in *inner and stops the scan.
+  db::Relation::TupleVisitor ViewInserter(Status* inner);
+  /// Maps folded A/D nets into view insert/delete deltas.
+  Status MapNets(const std::vector<db::Tuple>& a_net,
+                 const std::vector<db::Tuple>& d_net,
+                 std::vector<db::Tuple>* view_inserts,
+                 std::vector<db::Tuple>* view_deletes);
 
   /// Non-journaled single-shot refresh (WAL disabled): the original
   /// fold-then-patch path.
@@ -152,9 +181,6 @@ class DeferredStrategy : public ViewStrategy {
   /// kNeedReset roll-forward: AD reset (clears hash + Bloom, truncates the
   /// WAL) and epoch completion.
   Status FinishReset();
-
-  /// Recover()/Refresh() until consistent, bounded by kMaxRecoveryAttempts.
-  Status EnsureFresh();
 
   /// Phase-appropriate degraded read (see RecoveryPhase docs).
   Status DegradedQuery(int64_t lo, int64_t hi,

@@ -2,93 +2,35 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/trace.h"
 
 namespace viewmat::view {
 
-namespace {
-using storage::CrashPoint;
-}  // namespace
-
 HybridStrategy::HybridStrategy(SelectProjectDef def,
                                hr::AdFile::Options ad_options,
                                storage::CostTracker* tracker)
-    : def_(std::move(def)),
-      tracker_(tracker),
-      screen_(TLockScreen::ForSelectProject(def_, tracker)),
-      hr_(def_.base, ad_options) {
-  VIEWMAT_CHECK(def_.Validate().ok());
-  VIEWMAT_CHECK(def_.BaseKeyField() == def_.base->key_field());
-  view_ = std::make_unique<MaterializedView>(
-      def_.base->pool(), "hybrid_view", def_.ViewSchema(),
-      def_.view_key_field);
-}
-
-Status HybridStrategy::InitializeFromBase() {
-  VIEWMAT_RETURN_IF_ERROR(view_->Clear());
-  Status inner = Status::OK();
-  VIEWMAT_RETURN_IF_ERROR(def_.base->Scan([&](const db::Tuple& t) {
-    db::Tuple value;
-    if (def_.MapTuple(t, &value)) {
-      inner = view_->ApplyInsert(value);
-      if (!inner.ok()) return false;
-    }
-    return true;
-  }));
-  return inner;
-}
-
-Status HybridStrategy::OnTransaction(const db::Transaction& txn) {
-  const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kUpdateApply);
-  const obs::ScopedSpan span(storage::TracerOf(tracker_), "txn");
-  const db::NetChange& net = txn.ChangesFor(def_.base);
-  if (net.empty()) return Status::OK();
-  if (crash_safe() &&
-      (phase_ == RecoveryPhase::kNeedFold ||
-       phase_ == RecoveryPhase::kNeedReset || hr_.ad().needs_recovery())) {
-    // Same rule as the deferred strategy: once a fold has started (or the
-    // AD file is untrusted) the half-applied epoch must complete before new
-    // intents may land.
-    const Status recovered = Recover();
-    if (!recovered.ok()) {
-      return Status::FailedPrecondition(
-          "transaction rejected: interrupted refresh could not be rolled "
-          "forward (" +
-          recovered.message() + ")");
-    }
-  }
-  for (const db::Tuple& t : net.deletes()) {
-    VIEWMAT_RETURN_IF_ERROR(
-        hr_.FindAllByKey(t.at(def_.base->key_field()).AsInt64(),
-                         [](const db::Tuple&) { return false; }));
-  }
-  for (const db::Tuple& t : net.deletes()) screen_.Passes(t);
-  for (const db::Tuple& t : net.inserts()) screen_.Passes(t);
-  if (crash_safe()) {
-    const Status st = hr_.RecordChangesCommitted(net, ++txn_seq_);
-    if (st.ok() && txn_seq_ > committed_txn_high_) {
-      committed_txn_high_ = txn_seq_;
-    }
-    return st;
-  }
-  return hr_.RecordChanges(net);
+    : DeferredStrategy(std::move(def), ad_options, tracker) {
+  // The QM path scans a view-key range as a base-key range.
+  VIEWMAT_CHECK(sp_def().BaseKeyField() == sp_def().base->key_field());
 }
 
 HybridStrategy::Estimate HybridStrategy::EstimateQuery(int64_t lo,
                                                        int64_t hi) const {
   Estimate est;
-  const double c1 = tracker_ != nullptr ? tracker_->c1() : 1.0;
-  const double c2 = tracker_ != nullptr ? tracker_->c2() : 30.0;
-  const double page_size = def_.base->pool()->disk()->page_size();
+  const SelectProjectDef& def = sp_def();
+  const storage::CostTracker* tracker = this->tracker();
+  const double c1 = tracker != nullptr ? tracker->c1() : 1.0;
+  const double c2 = tracker != nullptr ? tracker->c2() : 30.0;
+  const double page_size = def.base->pool()->disk()->page_size();
 
   // Queried tuples: intersect the ask with the view's key range and assume
   // dense keys within it (the scenario the paper models; a production
   // optimizer would consult histograms here).
   const db::IntervalSet view_keys =
-      def_.predicate->ImpliedRangeSet(def_.BaseKeyField());
+      def.predicate->ImpliedRangeSet(def.BaseKeyField());
   const db::IntervalSet asked =
       db::IntervalSet::Intersect(view_keys, db::IntervalSet(db::Interval{lo, hi}));
   double range_tuples = 0;
@@ -98,18 +40,17 @@ HybridStrategy::Estimate HybridStrategy::EstimateQuery(int64_t lo,
     range_tuples += std::max(0.0, b - a + 1.0);
   }
   range_tuples =
-      std::min(range_tuples, static_cast<double>(def_.base->tuple_count()));
+      std::min(range_tuples, static_cast<double>(def.base->tuple_count()));
 
   // Page math mirrors the storage engine's leaf layout: 8-byte key plus
   // the record (the view additionally stores its duplicate count).
   const double base_tuples_per_page = std::max(
-      1.0, page_size / (8.0 + def_.base->schema().record_size()));
+      1.0, page_size / (8.0 + def.base->schema().record_size()));
   const double view_tuples_per_page = std::max(
-      1.0, page_size / (8.0 + def_.ViewSchema().record_size() + 8.0));
+      1.0, page_size / (8.0 + def.ViewSchema().record_size() + 8.0));
 
   // --- QM path: read the AD file, scan the base range ------------------
-  const double ad_pages = std::ceil(
-      static_cast<double>(hr_.ad().page_count()));
+  const double ad_pages = std::ceil(static_cast<double>(ad().page_count()));
   est.qm_ms = c2 * ad_pages +
               c2 * std::ceil(range_tuples / base_tuples_per_page + 1.0) +
               c1 * range_tuples;
@@ -123,7 +64,7 @@ HybridStrategy::Estimate HybridStrategy::EstimateQuery(int64_t lo,
   // subsequent query, not just this one, so its cost is amortized over an
   // expected reuse horizon (§4's batching argument). Without amortization
   // a myopic comparison defers forever.
-  const double pending = static_cast<double>(hr_.ad().entry_count());
+  const double pending = static_cast<double>(ad().entry_count());
   const double view_height = 2.0;  // small trees; a constant estimate
   const double refresh_ms =
       pending > 0 ? (c2 * ad_pages + c2 * (3.0 + view_height) * pending) /
@@ -135,189 +76,11 @@ HybridStrategy::Estimate HybridStrategy::EstimateQuery(int64_t lo,
   return est;
 }
 
-Status HybridStrategy::Refresh() {
-  if (crash_safe()) {
-    if (stale()) VIEWMAT_RETURN_IF_ERROR(Recover());
-    return RefreshSafe();
-  }
-  return RefreshUnsafe();
-}
-
-Status HybridStrategy::RefreshUnsafe() {
-  if (hr_.ad().entry_count() == 0) return Status::OK();
-  const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kRefresh);
-  const obs::ScopedSpan span(storage::TracerOf(tracker_), "refresh");
-  std::vector<db::Tuple> a_net;
-  std::vector<db::Tuple> d_net;
-  VIEWMAT_RETURN_IF_ERROR(hr_.Fold(&a_net, &d_net));
-  std::vector<db::Tuple> inserts;
-  std::vector<db::Tuple> deletes;
-  for (const db::Tuple& t : d_net) {
-    db::Tuple value;
-    if (def_.MapTuple(t, &value)) deletes.push_back(std::move(value));
-  }
-  for (const db::Tuple& t : a_net) {
-    db::Tuple value;
-    if (def_.MapTuple(t, &value)) inserts.push_back(std::move(value));
-  }
-  ++refresh_count_;
-  return view_->ApplyDelta(inserts, deletes);
-}
-
-Status HybridStrategy::RefreshSafe() {
-  if (hr_.ad().entry_count() == 0) return Status::OK();
-  const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kRefresh);
-  const obs::ScopedSpan span(storage::TracerOf(tracker_), "refresh");
-  storage::BufferPool* pool = def_.base->pool();
-  storage::DiskInterface* disk = pool->disk();
-
-  // Read-only preparation; failure is a clean abort.
-  std::vector<db::Tuple> a_net;
-  std::vector<db::Tuple> d_net;
-  obs::ScopedSpan prepare_span(storage::TracerOf(tracker_), "refresh.prepare");
-  VIEWMAT_RETURN_IF_ERROR(hr_.NetChanges(&a_net, &d_net));
-  std::vector<db::Tuple> inserts;
-  std::vector<db::Tuple> deletes;
-  for (const db::Tuple& t : d_net) {
-    db::Tuple value;
-    if (def_.MapTuple(t, &value)) deletes.push_back(std::move(value));
-  }
-  for (const db::Tuple& t : a_net) {
-    db::Tuple value;
-    if (def_.MapTuple(t, &value)) inserts.push_back(std::move(value));
-  }
-  prepare_span.End();
-
-  // Phase 1: patch the view under a durable begin marker.
-  VIEWMAT_RETURN_IF_ERROR(hr_.mutable_ad()->LogRefreshBegin(++epoch_));
-  phase_ = RecoveryPhase::kNeedViewRebuild;
-  obs::ScopedSpan patch_span(storage::TracerOf(tracker_), "refresh.view_patch");
-  VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kBeforeViewPatch));
-  for (const db::Tuple& value : deletes) {
-    VIEWMAT_RETURN_IF_ERROR(view_->ApplyDelete(value));
-  }
-  VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kMidViewPatch));
-  for (const db::Tuple& value : inserts) {
-    VIEWMAT_RETURN_IF_ERROR(view_->ApplyInsert(value));
-  }
-  VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kAfterViewPatch));
-  VIEWMAT_RETURN_IF_ERROR(pool->FlushAll());
-  VIEWMAT_RETURN_IF_ERROR(hr_.mutable_ad()->LogViewPatched(epoch_));
-  patch_span.End();
-  phase_ = RecoveryPhase::kNeedFold;
-
-  // Phase 2: fold the base and retire the differential.
-  return FoldAndReset(a_net, d_net, /*idempotent=*/false);
-}
-
-Status HybridStrategy::FoldAndReset(const std::vector<db::Tuple>& a_net,
-                                    const std::vector<db::Tuple>& d_net,
-                                    bool idempotent) {
-  storage::BufferPool* pool = def_.base->pool();
-  storage::DiskInterface* disk = pool->disk();
-  obs::ScopedSpan fold_span(storage::TracerOf(tracker_), "refresh.fold");
-  VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kBeforeFold));
-  static const std::vector<db::Tuple> kEmpty;
-  VIEWMAT_RETURN_IF_ERROR(hr_.FoldNoReset(kEmpty, d_net, idempotent));
-  VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kMidFold));
-  VIEWMAT_RETURN_IF_ERROR(hr_.FoldNoReset(a_net, kEmpty, idempotent));
-  VIEWMAT_RETURN_IF_ERROR(pool->FlushAll());
-  VIEWMAT_RETURN_IF_ERROR(hr_.mutable_ad()->LogFoldCommit(epoch_));
-  fold_span.End();
-  phase_ = RecoveryPhase::kNeedReset;
-  return FinishReset();
-}
-
-Status HybridStrategy::FinishReset() {
-  const obs::ScopedSpan span(storage::TracerOf(tracker_), "refresh.ad_reset");
-  storage::DiskInterface* disk = def_.base->pool()->disk();
-  VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kBeforeAdReset));
-  VIEWMAT_RETURN_IF_ERROR(hr_.mutable_ad()->Reset());
-  phase_ = RecoveryPhase::kNone;
-  ++refresh_count_;
-  return Status::OK();
-}
-
-Status HybridStrategy::RebuildViewAndFold() {
-  storage::BufferPool* pool = def_.base->pool();
-  storage::DiskInterface* disk = pool->disk();
-  VIEWMAT_RETURN_IF_ERROR(hr_.mutable_ad()->LogRefreshBegin(++epoch_));
-  phase_ = RecoveryPhase::kNeedViewRebuild;
-  VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kBeforeViewPatch));
-  // The copy may be partially patched in an unknowable way: rebuild it from
-  // the hypothetical relation (base untouched + all committed intents).
-  VIEWMAT_RETURN_IF_ERROR(view_->Clear());
-  Status inner = Status::OK();
-  VIEWMAT_RETURN_IF_ERROR(hr_.RangeScanByKey(
-      std::numeric_limits<int64_t>::min(),
-      std::numeric_limits<int64_t>::max(), [&](const db::Tuple& t) {
-        db::Tuple value;
-        if (def_.MapTuple(t, &value)) {
-          inner = view_->ApplyInsert(value);
-          if (!inner.ok()) return false;
-        }
-        return true;
-      }));
-  VIEWMAT_RETURN_IF_ERROR(inner);
-  VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kAfterViewPatch));
-  VIEWMAT_RETURN_IF_ERROR(pool->FlushAll());
-  VIEWMAT_RETURN_IF_ERROR(hr_.mutable_ad()->LogViewPatched(epoch_));
-  phase_ = RecoveryPhase::kNeedFold;
-  std::vector<db::Tuple> a_net;
-  std::vector<db::Tuple> d_net;
-  VIEWMAT_RETURN_IF_ERROR(hr_.NetChanges(&a_net, &d_net));
-  return FoldAndReset(a_net, d_net, /*idempotent=*/true);
-}
-
-Status HybridStrategy::RollForward() {
-  switch (phase_) {
-    case RecoveryPhase::kNone:
-      return Status::OK();
-    case RecoveryPhase::kNeedViewRebuild:
-      return RebuildViewAndFold();
-    case RecoveryPhase::kNeedFold: {
-      std::vector<db::Tuple> a_net;
-      std::vector<db::Tuple> d_net;
-      VIEWMAT_RETURN_IF_ERROR(hr_.NetChanges(&a_net, &d_net));
-      return FoldAndReset(a_net, d_net, /*idempotent=*/true);
-    }
-    case RecoveryPhase::kNeedReset:
-      return FinishReset();
-  }
-  return Status::Internal("unreachable recovery phase");
-}
-
-Status HybridStrategy::Recover() {
-  if (!crash_safe()) {
-    return Status::FailedPrecondition(
-        "hybrid strategy has no WAL (AdFile::Options::enable_wal)");
-  }
-  const storage::ScopedPhase phase_tag(tracker_,
-                                       storage::Phase::kRefreshRecovery);
-  const obs::ScopedSpan span(storage::TracerOf(tracker_), "recover");
-  ++recoveries_;
-  hr::AdFile::RecoveryInfo info;
-  VIEWMAT_RETURN_IF_ERROR(hr_.Recover(&info));
-  // Durable floor, not the in-memory high water: under group commit the
-  // in-memory counter runs ahead of the device (see DeferredStrategy).
-  committed_txn_high_ = hr_.ad().durable_txn_floor();
-  if (info.last_epoch_begun == 0) {
-    phase_ = RecoveryPhase::kNone;
-  } else if (info.fold_committed_epoch == info.last_epoch_begun) {
-    phase_ = RecoveryPhase::kNeedReset;
-  } else if (info.view_patched_epoch == info.last_epoch_begun) {
-    phase_ = RecoveryPhase::kNeedFold;
-  } else {
-    phase_ = RecoveryPhase::kNeedViewRebuild;
-  }
-  if (info.last_epoch_begun > epoch_) epoch_ = info.last_epoch_begun;
-  return RollForward();
-}
-
 Status HybridStrategy::Query(int64_t lo, int64_t hi,
                              const MaterializedView::CountedVisitor& visit) {
-  const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kQuery);
-  const obs::ScopedSpan span(storage::TracerOf(tracker_), "query");
+  storage::CostTracker* tracker = this->tracker();
+  const storage::ScopedPhase phase_tag(tracker, storage::Phase::kQuery);
+  const obs::ScopedSpan span(storage::TracerOf(tracker), "query");
   if (crash_safe() && stale()) {
     // An interrupted refresh (or untrusted AD file) invalidates both read
     // paths: QM would mis-merge a half-folded differential and the view may
@@ -325,7 +88,7 @@ Status HybridStrategy::Query(int64_t lo, int64_t hi,
     VIEWMAT_RETURN_IF_ERROR(Recover());
   }
   // Space backstop (§4): an overfull differential forces a refresh.
-  if (hr_.ad().entry_count() > max_pending_) {
+  if (pending_tuples() > max_pending_) {
     VIEWMAT_RETURN_IF_ERROR(Refresh());
     ++forced_refreshes_;
   }
@@ -334,16 +97,17 @@ Status HybridStrategy::Query(int64_t lo, int64_t hi,
     // Query modification through the hypothetical relation: the view keeps
     // deferring its refresh.
     ++qm_choices_;
-    return hr_.RangeScanByKey(lo, hi, [&](const db::Tuple& t) {
-      if (tracker_ != nullptr) tracker_->ChargeTupleCpu();
+    const SelectProjectDef& def = sp_def();
+    return hypothetical()->RangeScanByKey(lo, hi, [&](const db::Tuple& t) {
+      if (tracker != nullptr) tracker->ChargeTupleCpu();
       db::Tuple value;
-      if (!def_.MapTuple(t, &value)) return true;
+      if (!def.MapTuple(t, &value)) return true;
       return visit(value, 1);
     });
   }
   ++view_choices_;
   VIEWMAT_RETURN_IF_ERROR(Refresh());
-  return view_->Query(lo, hi, visit);
+  return view()->Query(lo, hi, visit);
 }
 
 }  // namespace viewmat::view

@@ -4,12 +4,10 @@
 #include <atomic>
 
 #include "common/status.h"
-#include "hr/hypothetical_relation.h"
-#include "view/deferred.h"
+#include "hr/ad_file.h"
 #include "storage/cost_tracker.h"
+#include "view/deferred.h"
 #include "view/materialized_view.h"
-#include "view/screening.h"
-#include "view/strategy.h"
 #include "view/view_def.h"
 
 namespace viewmat::view {
@@ -20,9 +18,9 @@ namespace viewmat::view {
 /// materialized view, using the clustered view index as an alternate
 /// access path."
 ///
-/// The hybrid keeps a deferred materialized copy AND a query-modification
-/// path over the hypothetical relation. Each query is costed both ways
-/// with the paper's unit prices:
+/// The hybrid IS a deferred strategy — same screening, same AD file, same
+/// journaled refresh and recovery protocol — plus a per-query router. Each
+/// query is costed both ways with the paper's unit prices:
 ///
 ///   QM path:   C_ADread (scan the differential) + base range pages·C2
 ///              + range tuples·C1   — and the view stays unrefreshed;
@@ -32,43 +30,22 @@ namespace viewmat::view {
 /// Small queries over a heavily-updated view go to QM (the EMP-DEPT
 /// regime); large queries amortize the refresh and go to the view. Either
 /// way the answer is identical (tested), only the money moves.
-class HybridStrategy : public ViewStrategy {
+///
+/// The router replaces DeferredStrategy::Query outright: the hybrid rolls
+/// an interrupted refresh forward before choosing a path and surfaces
+/// recovery failures, rather than retrying and serving degraded reads.
+class HybridStrategy : public DeferredStrategy {
  public:
   HybridStrategy(SelectProjectDef def, hr::AdFile::Options ad_options,
                  storage::CostTracker* tracker);
 
-  Status InitializeFromBase();
-
-  Status OnTransaction(const db::Transaction& txn) override;
   Status Query(int64_t lo, int64_t hi,
                const MaterializedView::CountedVisitor& visit) override;
   const char* name() const override { return "hybrid"; }
 
-  hr::HypotheticalRelation* hypothetical() { return &hr_; }
   uint64_t qm_choices() const { return qm_choices_; }
   uint64_t view_choices() const { return view_choices_; }
-  uint64_t refresh_count() const { return refresh_count_; }
   uint64_t forced_refreshes() const { return forced_refreshes_; }
-
-  /// Crash recovery (crash-safe mode, AdFile::Options::enable_wal): the
-  /// same journaled two-phase refresh protocol as the deferred strategy —
-  /// rebuild the AD file from its log, derive the interrupted phase from
-  /// the durable markers, roll forward. Idempotent.
-  Status Recover();
-
-  /// True when the WAL-backed refresh protocol is active.
-  bool crash_safe() const { return hr_.ad().wal_enabled(); }
-  RecoveryPhase phase() const { return phase_; }
-  /// True when neither read path can be served as-is (interrupted refresh
-  /// or an AD file that must be rebuilt from its log).
-  bool stale() const {
-    return phase_ != RecoveryPhase::kNone || hr_.ad().needs_recovery();
-  }
-  uint64_t recoveries() const { return recoveries_; }
-  /// Transaction ids issued (crash-safe mode); see the deferred strategy's
-  /// identically-named accessors for the ambiguity-resolution contract.
-  uint64_t txn_seq() const { return txn_seq_; }
-  uint64_t committed_txn_high_water() const { return committed_txn_high_; }
 
   /// §4's space backstop: "if the A and D sets ... use up all available
   /// disk space, then of course the refresh algorithm must be used". When
@@ -91,43 +68,14 @@ class HybridStrategy : public ViewStrategy {
   };
   Estimate EstimateQuery(int64_t lo, int64_t hi) const;
 
-  /// Folds the differential into the base and view now, regardless of the
-  /// per-query cost comparison (idle-time refresh; torture-harness
-  /// convergence). In crash-safe mode this is the journaled protocol.
-  Status Refresh();
-
  private:
-  /// Non-journaled fold-and-reset (WAL disabled): the original path.
-  Status RefreshUnsafe();
-  /// Journaled protocol from a clean state (mirrors the deferred
-  /// strategy's): begin marker, view patch, patched marker, idempotent-able
-  /// fold, fold-commit marker, AD reset.
-  Status RefreshSafe();
-  Status RollForward();
-  Status RebuildViewAndFold();
-  Status FoldAndReset(const std::vector<db::Tuple>& a_net,
-                      const std::vector<db::Tuple>& d_net, bool idempotent);
-  Status FinishReset();
-
-  SelectProjectDef def_;
-  storage::CostTracker* tracker_;
-  TLockScreen screen_;
-  hr::HypotheticalRelation hr_;
-  std::unique_ptr<MaterializedView> view_;
   // Atomic: bumped on the query read path, which the server may run from
   // several workers at once when no refresh work is pending.
   std::atomic<uint64_t> qm_choices_{0};
   std::atomic<uint64_t> view_choices_{0};
-  uint64_t refresh_count_ = 0;
   uint64_t forced_refreshes_ = 0;
   uint64_t max_pending_ = 256;
   double refresh_amortization_ = 4.0;
-
-  RecoveryPhase phase_ = RecoveryPhase::kNone;
-  uint64_t epoch_ = 0;
-  uint64_t txn_seq_ = 0;
-  uint64_t committed_txn_high_ = 0;
-  uint64_t recoveries_ = 0;
 };
 
 }  // namespace viewmat::view

@@ -92,11 +92,7 @@ Status ImmediateStrategy::OnTransaction(const db::Transaction& txn) {
   }
   // The transaction commits against the base relations first — atomically,
   // when a recovery manager is attached.
-  if (recovery_ != nullptr) {
-    VIEWMAT_RETURN_IF_ERROR(recovery_->CommitAndApply(txn));
-  } else {
-    VIEWMAT_RETURN_IF_ERROR(txn.ApplyToBase());
-  }
+  VIEWMAT_RETURN_IF_ERROR(CommitToBase(txn));
   // From here the base holds the transaction; any failure before the view
   // patch completes leaves the copy behind it.
   Status patched = PatchView(txn);
@@ -129,11 +125,7 @@ Status ImmediateStrategy::PatchView(const db::Transaction& txn) {
 }
 
 Status ImmediateStrategy::Recover() {
-  if (recovery_ == nullptr) {
-    return Status::FailedPrecondition(
-        "no recovery manager attached to the immediate strategy");
-  }
-  VIEWMAT_RETURN_IF_ERROR(recovery_->Recover());
+  VIEWMAT_RETURN_IF_ERROR(ViewStrategy::Recover());
   VIEWMAT_RETURN_IF_ERROR(InitializeFromBase());
   view_dirty_ = false;
   return Status::OK();

@@ -4,7 +4,6 @@
 #include <variant>
 
 #include "common/status.h"
-#include "db/recovery.h"
 #include "storage/cost_tracker.h"
 #include "view/materialized_view.h"
 #include "view/screening.h"
@@ -34,18 +33,12 @@ class ImmediateStrategy : public ViewStrategy {
                const MaterializedView::CountedVisitor& visit) override;
   const char* name() const override { return "immediate"; }
 
-  /// Makes transactions atomic: once attached, OnTransaction commits
-  /// through the recovery manager (log-commit-then-apply) instead of bare
-  /// ApplyToBase. The manager must have the view's base relations
-  /// registered.
-  void AttachRecovery(db::RecoveryManager* rm) { recovery_ = rm; }
-
   /// Crash recovery: completes any partially-applied committed transaction
   /// via RecoveryManager::Recover(), then rebuilds the stored copy from the
   /// recovered base (a crash between the base commit and the view patch
   /// leaves the copy behind the base; immediate maintenance keeps no
   /// differential to patch from, so the copy is recomputed).
-  Status Recover();
+  Status Recover() override;
 
   /// True when the stored copy may lag the base (failure after a durable
   /// commit) and Recover() must run before queries are trustworthy.
@@ -71,7 +64,6 @@ class ImmediateStrategy : public ViewStrategy {
   TLockScreen screen_;
   std::unique_ptr<MaterializedView> view_;
   uint64_t refresh_count_ = 0;
-  db::RecoveryManager* recovery_ = nullptr;
   /// The base advanced (durable commit) but the view patch did not finish.
   bool view_dirty_ = false;
 };

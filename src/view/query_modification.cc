@@ -22,16 +22,7 @@ Status QmSelectProjectStrategy::OnTransaction(const db::Transaction& txn) {
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "txn");
   // No materialized copy: updates flow straight to the base relations
   // (atomically, through the WAL, when a recovery manager is attached).
-  if (recovery_ != nullptr) return recovery_->CommitAndApply(txn);
-  return txn.ApplyToBase();
-}
-
-Status QmSelectProjectStrategy::Recover() {
-  if (recovery_ == nullptr) {
-    return Status::FailedPrecondition(
-        "no recovery manager attached to the query-modification strategy");
-  }
-  return recovery_->Recover();
+  return CommitToBase(txn);
 }
 
 Status QmSelectProjectStrategy::Query(
@@ -77,16 +68,7 @@ QmJoinStrategy::QmJoinStrategy(JoinDef def, storage::CostTracker* tracker)
 Status QmJoinStrategy::OnTransaction(const db::Transaction& txn) {
   const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kUpdateApply);
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "txn");
-  if (recovery_ != nullptr) return recovery_->CommitAndApply(txn);
-  return txn.ApplyToBase();
-}
-
-Status QmJoinStrategy::Recover() {
-  if (recovery_ == nullptr) {
-    return Status::FailedPrecondition(
-        "no recovery manager attached to the query-modification strategy");
-  }
-  return recovery_->Recover();
+  return CommitToBase(txn);
 }
 
 Status QmJoinStrategy::Query(int64_t lo, int64_t hi,

@@ -2,7 +2,6 @@
 #define VIEWMAT_VIEW_QUERY_MODIFICATION_H_
 
 #include "common/status.h"
-#include "db/recovery.h"
 #include "storage/cost_tracker.h"
 #include "view/strategy.h"
 #include "view/view_def.h"
@@ -19,6 +18,10 @@ namespace viewmat::view {
 ///  - anything else, or force_sequential      -> full scan
 ///    (TOTAL_sequential).
 /// Every tuple touched is screened against the view predicate at C1.
+///
+/// Crash recovery is the ViewStrategy default for both QM strategies: they
+/// keep no materialized state, so recovering the base relations is the
+/// whole job — afterwards every query is correct again.
 class QmSelectProjectStrategy : public ViewStrategy {
  public:
   QmSelectProjectStrategy(SelectProjectDef def, storage::CostTracker* tracker,
@@ -29,18 +32,10 @@ class QmSelectProjectStrategy : public ViewStrategy {
                const MaterializedView::CountedVisitor& visit) override;
   const char* name() const override { return "query-modification"; }
 
-  /// Commit transactions through the recovery manager (atomic base writes).
-  void AttachRecovery(db::RecoveryManager* rm) { recovery_ = rm; }
-
-  /// Crash recovery. QM keeps no materialized state, so recovering the base
-  /// relations is the whole job — afterwards every query is correct again.
-  Status Recover();
-
  private:
   SelectProjectDef def_;
   storage::CostTracker* tracker_;
   bool force_sequential_;
-  db::RecoveryManager* recovery_ = nullptr;
 };
 
 /// Query modification for Model 2 views: nested-loops join with R1 outer
@@ -57,16 +52,9 @@ class QmJoinStrategy : public ViewStrategy {
                const MaterializedView::CountedVisitor& visit) override;
   const char* name() const override { return "query-modification-loopjoin"; }
 
-  /// Commit transactions through the recovery manager (atomic base writes).
-  void AttachRecovery(db::RecoveryManager* rm) { recovery_ = rm; }
-
-  /// Crash recovery (see QmSelectProjectStrategy::Recover).
-  Status Recover();
-
  private:
   JoinDef def_;
   storage::CostTracker* tracker_;
-  db::RecoveryManager* recovery_ = nullptr;
 };
 
 }  // namespace viewmat::view

@@ -45,11 +45,7 @@ Status RecomputeOnChangeStrategy::Recompute() {
 Status RecomputeOnChangeStrategy::OnTransaction(const db::Transaction& txn) {
   const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kUpdateApply);
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "txn");
-  if (recovery_ != nullptr) {
-    VIEWMAT_RETURN_IF_ERROR(recovery_->CommitAndApply(txn));
-  } else {
-    VIEWMAT_RETURN_IF_ERROR(txn.ApplyToBase());
-  }
+  VIEWMAT_RETURN_IF_ERROR(CommitToBase(txn));
   const db::NetChange& net = txn.ChangesFor(def_.base);
   if (net.empty()) return Status::OK();
   // Phase 1 (compile time): readily ignorable commands cost nothing more.
@@ -81,11 +77,7 @@ Status RecomputeOnChangeStrategy::Query(
 }
 
 Status RecomputeOnChangeStrategy::Recover() {
-  if (recovery_ == nullptr) {
-    return Status::FailedPrecondition(
-        "no recovery manager attached to the recompute-on-change strategy");
-  }
-  VIEWMAT_RETURN_IF_ERROR(recovery_->Recover());
+  VIEWMAT_RETURN_IF_ERROR(ViewStrategy::Recover());
   // A crash may have interrupted a recompute (partially rebuilt copy) or a
   // screened-out delta may have landed during redo; recomputing is the
   // strategy's uniform answer.

@@ -2,7 +2,6 @@
 #define VIEWMAT_VIEW_RECOMPUTE_ON_CHANGE_H_
 
 #include "common/status.h"
-#include "db/recovery.h"
 #include "storage/cost_tracker.h"
 #include "view/materialized_view.h"
 #include "view/screening_modes.h"
@@ -31,13 +30,10 @@ class RecomputeOnChangeStrategy : public ViewStrategy {
                const MaterializedView::CountedVisitor& visit) override;
   const char* name() const override { return "recompute-on-change"; }
 
-  /// Commit transactions through the recovery manager (atomic base writes).
-  void AttachRecovery(db::RecoveryManager* rm) { recovery_ = rm; }
-
   /// Crash recovery: completes partially-applied committed transactions and
   /// marks the view dirty, so the next query recomputes from the recovered
   /// base — [Bune79]'s own refresh rule doubles as its crash repair.
-  Status Recover();
+  Status Recover() override;
 
   uint64_t recompute_count() const { return recompute_count_; }
   uint64_t ignored_transactions() const { return ignored_transactions_; }
@@ -50,7 +46,6 @@ class RecomputeOnChangeStrategy : public ViewStrategy {
   storage::CostTracker* tracker_;
   UpdateScreen screen_;
   std::unique_ptr<MaterializedView> view_;
-  db::RecoveryManager* recovery_ = nullptr;
   bool dirty_ = false;
   uint64_t recompute_count_ = 0;
   uint64_t ignored_transactions_ = 0;

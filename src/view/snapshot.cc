@@ -45,11 +45,7 @@ Status SnapshotStrategy::OnTransaction(const db::Transaction& txn) {
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "txn");
   // No screening, no differential, no view work: the defining property of
   // snapshots. The base commits and the snapshot goes stale.
-  if (recovery_ != nullptr) {
-    VIEWMAT_RETURN_IF_ERROR(recovery_->CommitAndApply(txn));
-  } else {
-    VIEWMAT_RETURN_IF_ERROR(txn.ApplyToBase());
-  }
+  VIEWMAT_RETURN_IF_ERROR(CommitToBase(txn));
   if (!txn.ChangesFor(def_.base).empty()) ++stale_transactions_;
   return Status::OK();
 }
@@ -66,11 +62,7 @@ Status SnapshotStrategy::Query(int64_t lo, int64_t hi,
 }
 
 Status SnapshotStrategy::Recover() {
-  if (recovery_ == nullptr) {
-    return Status::FailedPrecondition(
-        "no recovery manager attached to the snapshot strategy");
-  }
-  VIEWMAT_RETURN_IF_ERROR(recovery_->Recover());
+  VIEWMAT_RETURN_IF_ERROR(ViewStrategy::Recover());
   return RefreshNow();
 }
 

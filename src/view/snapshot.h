@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "common/status.h"
-#include "db/recovery.h"
 #include "storage/cost_tracker.h"
 #include "view/materialized_view.h"
 #include "view/strategy.h"
@@ -39,14 +38,12 @@ class SnapshotStrategy : public ViewStrategy {
 
   /// Forces a refresh now (e.g. from an idle-time daemon).
   Status RefreshNow();
-
-  /// Commit transactions through the recovery manager (atomic base writes).
-  void AttachRecovery(db::RecoveryManager* rm) { recovery_ = rm; }
+  Status Refresh() override { return RefreshNow(); }
 
   /// Crash recovery: completes partially-applied committed transactions,
   /// then rebuilds the snapshot (a crash mid-RefreshNow leaves the copy
   /// partially rebuilt, and a snapshot's only repair is a fresh snapshot).
-  Status Recover();
+  Status Recover() override;
 
   /// Transactions committed since the last refresh — the staleness bound a
   /// reader currently observes.
@@ -59,7 +56,6 @@ class SnapshotStrategy : public ViewStrategy {
   Options options_;
   storage::CostTracker* tracker_;
   std::unique_ptr<MaterializedView> view_;
-  db::RecoveryManager* recovery_ = nullptr;
   uint64_t stale_transactions_ = 0;
   uint64_t refresh_count_ = 0;
   uint64_t queries_since_refresh_ = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -64,12 +65,23 @@ TEST(ParallelFor, ZeroItemsIsANoOp) {
 
 TEST(ParallelFor, FirstExceptionPropagatesAndCancelsRemainingWork) {
   std::atomic<int> started{0};
-  EXPECT_THROW(ParallelFor(4, 1000,
-                           [&](size_t i) {
-                             started.fetch_add(1);
-                             if (i == 5) throw std::runtime_error("boom");
-                           }),
-               std::runtime_error);
+  std::atomic<bool> thrower_began{false};
+  // The first throw in a process unwinds slowly, and unheld workers could
+  // drain every remaining index meanwhile. So indices after the thrower wait
+  // until it has begun and then take ~2 ms each. Indices before it must not
+  // wait: they can occupy every worker before index 5 is claimed.
+  const auto task = [&](size_t i) {
+    started.fetch_add(1);
+    if (i == 5) {
+      thrower_began.store(true);
+      throw std::runtime_error("boom");
+    }
+    if (i > 5) {
+      while (!thrower_began.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  };
+  EXPECT_THROW(ParallelFor(4, 1000, task), std::runtime_error);
   // Cancellation is advisory (already-dequeued indices still run), but the
   // bulk of the thousand tasks must have been skipped.
   EXPECT_LT(started.load(), 1000);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/random.h"
 #include "testing/view_fixture.h"
+#include "view/deferred.h"
 #include "view/query_modification.h"
 
 namespace viewmat::view {
@@ -117,6 +121,57 @@ TEST(Hybrid, BackstopBoundsTheDifferential) {
   }
   // Refreshes fired and the AD never grew far past the cap.
   EXPECT_GT(hybrid.forced_refreshes(), 1u);
+}
+
+/// Drives `strategy` through a seeded mix of single-key updates and range
+/// queries (one query per four ops) and returns every query's answer.
+std::vector<std::map<db::Tuple, int64_t>> RunSeededHistory(
+    ViewTestDb* db, DeferredStrategy* strategy, uint64_t seed) {
+  Random rng(seed);
+  std::vector<std::map<db::Tuple, int64_t>> answers;
+  for (int op = 0; op < 80; ++op) {
+    if (op % 4 == 3) {
+      const auto lo = static_cast<int64_t>(rng.Uniform(ViewTestDb::kN));
+      const auto hi = lo + static_cast<int64_t>(rng.Uniform(40));
+      answers.push_back(db->QueryAll(strategy, lo, hi));
+    } else {
+      const auto key = static_cast<int64_t>(rng.Uniform(ViewTestDb::kN));
+      VIEWMAT_CHECK(
+          strategy->OnTransaction(db->UpdateTxn(key, 1000.0 + op)).ok());
+    }
+  }
+  return answers;
+}
+
+TEST(Hybrid, ViewPathIsTheDeferredRefreshProtocolChargeForCharge) {
+  // Ties go to the view path, and a huge amortization prices the refresh at
+  // ~0, so every query routes to the view. The hybrid must then be exactly
+  // the deferred strategy: same answers, same refreshes, same cost.
+  for (const bool wal : {false, true}) {
+    SCOPED_TRACE(wal ? "WAL on" : "WAL off");
+    ViewTestDb deferred_db;
+    ViewTestDb hybrid_db;
+    DeferredStrategy deferred(
+        deferred_db.SpDef(),
+        wal ? deferred_db.WalAdOptions() : deferred_db.AdOptions(),
+        &deferred_db.tracker_);
+    HybridStrategy hybrid(
+        hybrid_db.SpDef(),
+        wal ? hybrid_db.WalAdOptions() : hybrid_db.AdOptions(),
+        &hybrid_db.tracker_);
+    hybrid.set_refresh_amortization(1e12);
+    ASSERT_EQ(hybrid.crash_safe(), wal);
+    ASSERT_TRUE(deferred.InitializeFromBase().ok());
+    ASSERT_TRUE(hybrid.InitializeFromBase().ok());
+
+    EXPECT_EQ(RunSeededHistory(&hybrid_db, &hybrid, 17),
+              RunSeededHistory(&deferred_db, &deferred, 17));
+    EXPECT_EQ(hybrid.qm_choices(), 0u);
+    EXPECT_EQ(hybrid.view_choices(), 20u);
+    EXPECT_GT(deferred.refresh_count(), 0u);
+    EXPECT_EQ(hybrid.refresh_count(), deferred.refresh_count());
+    EXPECT_EQ(hybrid_db.tracker_.counters(), deferred_db.tracker_.counters());
+  }
 }
 
 }  // namespace
