@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   uint64_t total_crashes = 0;
   bool all_clean = true;
 
-  for (const sim::ChaosProfile profile : sim::kAllChaosProfiles) {
-    const char* pname = sim::ChaosProfileName(profile);
+  for (const net::ChaosProfile profile : net::kAllChaosProfiles) {
+    const char* pname = net::ChaosProfileName(profile);
     sim::SeriesTable table;
     table.title = std::string("chaos ") + pname;
     table.x_label = "combo";
@@ -83,21 +83,21 @@ int main(int argc, char** argv) {
                           "reconciled",    "violations"};
 
     for (size_t c = 0; c < combos.size(); ++c) {
-      sim::ChaosOracleOptions options;
+      net::ChaosOracleOptions options;
       options.profile = profile;
       options.kind = combos[c].kind;
       options.model = combos[c].model;
       options.seed = 20240 + static_cast<uint64_t>(c);
       options.runs = runs_per_cell;
       options.jobs = cli.jobs;
-      const auto result = sim::RunChaosOracle(options);
+      const auto result = net::RunChaosOracle(options);
       if (!result.ok()) {
         std::fprintf(stderr, "%s %s failed: %s\n", pname,
                      ComboName(combos[c]).c_str(),
                      result.status().ToString().c_str());
         return 1;
       }
-      const sim::ChaosOracleResult& r = *result;
+      const net::ChaosOracleResult& r = *result;
       const uint64_t violations =
           r.liveness_failures + r.lost_commits + r.duplicate_applications +
           r.state_mismatches + r.replay_mismatches + r.query_mismatches +

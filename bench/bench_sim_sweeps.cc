@@ -62,14 +62,14 @@ int main(int argc, char** argv) {
       cli.effective_jobs(), ps.size(), [&](size_t i) {
         const costmodel::Params p = base.WithUpdateProbability(ps[i]);
         PointRows rows;
-        auto r1 = sim::SimulateModel1(p, options);
+        auto r1 = sim::Simulate(1, p, options);
         if (r1.ok()) {
           rows.row1 = {AdjustedOf(*r1, "deferred"),
                        AdjustedOf(*r1, "immediate"),
                        AdjustedOf(*r1, "clustered"),
                        AdjustedOf(*r1, "unclustered")};
         }
-        auto r2 = sim::SimulateModel2(p, options);
+        auto r2 = sim::Simulate(2, p, options);
         if (r2.ok()) {
           rows.row2 = {AdjustedOf(*r2, "deferred"),
                        AdjustedOf(*r2, "immediate"),

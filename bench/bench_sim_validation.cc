@@ -41,17 +41,17 @@ int main(int argc, char** argv) {
   std::printf("# Simulator-vs-model validation (N=%.0f, k=%.0f, q=%.0f, "
               "l=%.0f)\n\n",
               p.N, p.k, p.q, p.l);
-  auto m1 = sim::SimulateModel1(p, options);
+  auto m1 = sim::Simulate(1, p, options);
   if (m1.ok()) {
     std::printf("== Model 1 ==\n%s\n", m1->ToString().c_str());
     report.AddSimResult(*m1);
   }
-  auto m2 = sim::SimulateModel2(p, options);
+  auto m2 = sim::Simulate(2, p, options);
   if (m2.ok()) {
     std::printf("== Model 2 ==\n%s\n", m2->ToString().c_str());
     report.AddSimResult(*m2);
   }
-  auto m3 = sim::SimulateModel3(p, options);
+  auto m3 = sim::Simulate(3, p, options);
   if (m3.ok()) {
     std::printf("== Model 3 ==\n%s\n", m3->ToString().c_str());
     report.AddSimResult(*m3);

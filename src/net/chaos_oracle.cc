@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <set>
 #include <utility>
@@ -14,21 +13,15 @@
 #include "net/network.h"
 #include "net/session_client.h"
 #include "net/session_server.h"
-#include "server/schedule.h"
-#include "workload/workload.h"
+#include "sim/oracle.h"
 
-namespace viewmat::sim {
+namespace viewmat::net {
 
 namespace {
 
-using net::ClientOp;
-using net::ClientOpResult;
-using net::FaultyNetwork;
-using net::Network;
-using net::NodeId;
-using net::RefreshDaemon;
-using net::SessionClient;
-using net::SessionServer;
+using sim::ShadowOracle;
+using sim::StrategyDriver;
+using sim::Victims;
 
 constexpr NodeId kServerNode = 0;
 constexpr NodeId kRefresherNode = 1;
@@ -49,32 +42,6 @@ uint64_t ClientSeed(uint64_t run_seed, int client) {
                (0xc2b2ae3d27d4eb4full * (static_cast<uint64_t>(client) + 2));
   s ^= s >> 29;
   return s | 1;
-}
-
-/// The staged-update rule shared with the server: within one transaction a
-/// key hit twice sees its own earlier write.
-db::Transaction BuildDeltaTxn(
-    const ShadowOracle& shadow, db::Relation* rel,
-    const std::vector<std::pair<int64_t, double>>& victims,
-    std::map<int64_t, double>* staged) {
-  db::Transaction txn;
-  for (const auto& [key, delta] : victims) {
-    const double old_v = staged->count(key) ? (*staged)[key] : shadow.v[key];
-    const double new_v = old_v + delta;
-    db::Tuple old_t = shadow.BaseTuple(key);
-    old_t.at(workload::Scenario::kFieldV) = db::Value(old_v);
-    db::Tuple new_t = old_t;
-    new_t.at(workload::Scenario::kFieldV) = db::Value(new_v);
-    txn.Update(rel, old_t, new_t);
-    (*staged)[key] = new_v;
-  }
-  return txn;
-}
-
-void AdvanceByVictims(
-    const std::vector<std::pair<int64_t, double>>& victims,
-    ShadowOracle* shadow) {
-  for (const auto& [key, delta] : victims) shadow->v[key] += delta;
 }
 
 /// Arms the fault decorator for one profile. All windows and rates derive
@@ -140,7 +107,7 @@ Status RunOneChaos(const ChaosOracleOptions& options,
   dopt.checkpoint_every = 0;  // the session server drives checkpoints
   VIEWMAT_ASSIGN_OR_RETURN(std::unique_ptr<StrategyDriver> driver,
                            StrategyDriver::Create(dopt));
-  const ShadowOracle shadow0 = MakeShadow(*driver->scenario());
+  const ShadowOracle shadow0 = sim::MakeShadow(*driver->scenario());
 
   Network::Options nopt;
   nopt.seed = run_seed;
@@ -293,42 +260,28 @@ Status RunOneChaos(const ChaosOracleOptions& options,
   if (acked_ids != journal_unique) ++agg->lost_commits;
 
   // ---- Invariant 3a: final state equals the delta ledger -----------------
+  // Advancing the ledger turns each journal delta into the absolute
+  // payload it produced — the same float additions in the same order as
+  // the server's staging, so the replay below sees identical doubles.
   ShadowOracle ledger = shadow0;
+  std::vector<Victims> absolute;
   for (const auto& entry : server->journal()) {
-    AdvanceByVictims(entry.victims, &ledger);
+    Victims& txn = absolute.emplace_back();
+    for (const auto& [key, delta] : entry.victims) {
+      ledger.v[key] += delta;
+      txn.emplace_back(key, ledger.v[key]);
+    }
   }
-  ViewMultiset want_base;
-  for (int64_t key = 0; key < ledger.n; ++key) {
-    want_base[ledger.BaseTuple(key)] += 1;
-  }
-  ViewMultiset got_base;
+  sim::ViewMultiset got_base;
   VIEWMAT_RETURN_IF_ERROR(driver->VisibleBase(&got_base));
-  if (got_base != want_base) ++agg->state_mismatches;
+  if (got_base != sim::ExpectedBase(ledger)) ++agg->state_mismatches;
 
   // ---- Invariant 3b: serial replay of the journal ------------------------
   VIEWMAT_ASSIGN_OR_RETURN(const uint64_t final_digest,
-                           server::StateDigest(driver.get()));
-  StrategyDriver::Options ropt = dopt;
-  VIEWMAT_ASSIGN_OR_RETURN(std::unique_ptr<StrategyDriver> replay,
-                           StrategyDriver::Create(ropt));
-  ShadowOracle replay_shadow = MakeShadow(*replay->scenario());
-  bool replay_failed = false;
-  for (const auto& entry : server->journal()) {
-    std::map<int64_t, double> staged;
-    const db::Transaction txn =
-        BuildDeltaTxn(replay_shadow, replay->base(), entry.victims, &staged);
-    if (!replay->OnTransaction(txn).ok()) {
-      replay_failed = true;
-      break;
-    }
-    for (const auto& [key, v] : staged) replay_shadow.v[key] = v;
-  }
-  if (replay_failed || !replay->Converge().ok()) {
+                           sim::StateDigest(driver.get()));
+  const StatusOr<uint64_t> replay_digest = sim::ReplayDigest(dopt, absolute);
+  if (!replay_digest.ok() || *replay_digest != final_digest) {
     ++agg->replay_mismatches;
-  } else {
-    VIEWMAT_ASSIGN_OR_RETURN(const uint64_t replay_digest,
-                             server::StateDigest(replay.get()));
-    if (replay_digest != final_digest) ++agg->replay_mismatches;
   }
 
   // ---- Invariant 4: acked queries match their journal prefix -------------
@@ -356,12 +309,11 @@ Status RunOneChaos(const ChaosOracleOptions& options,
       ++agg->query_mismatches;
       continue;
     }
-    while (applied < q.journal_len) {
-      AdvanceByVictims(server->journal()[applied].victims, &prefix);
-      ++applied;
+    for (; applied < q.journal_len; ++applied) {
+      for (const auto& [key, v] : absolute[applied]) prefix.v[key] = v;
     }
-    const uint64_t want = net::DigestMultiset(
-        ExpectedRange(prefix, options.model, q.lo, q.hi));
+    const uint64_t want =
+        DigestMultiset(sim::ExpectedRange(prefix, options.model, q.lo, q.hi));
     if (want != q.digest) ++agg->query_mismatches;
   }
   return Status::OK();
@@ -420,8 +372,9 @@ StatusOr<ChaosOracleResult> RunChaosOracle(const ChaosOracleOptions& options) {
     return Status::InvalidArgument(
         "ChaosOracleOptions::ops_per_client must be > 0");
   }
-  const costmodel::Params params =
-      options.shrink_params ? TortureParams(options.params) : options.params;
+  const costmodel::Params params = options.shrink_params
+                                       ? sim::TortureParams(options.params)
+                                       : options.params;
   VIEWMAT_RETURN_IF_ERROR(params.Validate());
 
   // Each run is a self-contained single-threaded simulation; the fan-out
@@ -469,4 +422,4 @@ StatusOr<ChaosOracleResult> RunChaosOracle(const ChaosOracleOptions& options) {
   return result;
 }
 
-}  // namespace viewmat::sim
+}  // namespace viewmat::net

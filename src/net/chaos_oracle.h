@@ -8,7 +8,7 @@
 #include "costmodel/params.h"
 #include "sim/strategy_driver.h"
 
-namespace viewmat::sim {
+namespace viewmat::net {
 
 /// Fault profiles the chaos oracle sweeps. Each profile arms one class of
 /// transport mischief (plus a crash composite); the oracle's invariants
@@ -34,7 +34,7 @@ inline constexpr ChaosProfile kAllChaosProfiles[] = {
 const char* ChaosProfileName(ChaosProfile profile);
 
 struct ChaosOracleOptions {
-  StrategyKind kind = StrategyKind::kDeferred;
+  sim::StrategyKind kind = sim::StrategyKind::kDeferred;
   int model = 1;
   costmodel::Params params;
   bool shrink_params = true;  ///< apply TortureParams (the default)
@@ -101,7 +101,8 @@ struct ChaosOracleResult {
 ///     journal exactly (nothing lost, nothing applied twice);
 ///  3. state — the final visible base equals the initial state advanced by
 ///     the journal's deltas in order, and a serial replay of the journal
-///     through a fresh engine converges to a state-digest match;
+///     through a fresh engine (sim::ReplayDigest) passes the golden triple
+///     and converges to a state-digest match;
 ///  4. reads — every acknowledged query answer equals the exact expected
 ///     answer at the journal prefix it was served at.
 ///
@@ -109,6 +110,6 @@ struct ChaosOracleResult {
 /// result is identical at any worker count.
 StatusOr<ChaosOracleResult> RunChaosOracle(const ChaosOracleOptions& options);
 
-}  // namespace viewmat::sim
+}  // namespace viewmat::net
 
 #endif  // VIEWMAT_NET_CHAOS_ORACLE_H_

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
-#include <string>
 
 #include "common/logging.h"
+#include "sim/oracle.h"
 #include "workload/workload.h"
 
 namespace viewmat::net {
@@ -71,17 +71,7 @@ bool DecodeStamp(const uint8_t* data, uint16_t len, Stamp* out) {
 }  // namespace
 
 uint64_t DigestMultiset(const sim::ViewMultiset& m) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& [t, count] : m) {
-    mix(t.ToString() + ":" + std::to_string(count));
-  }
-  return h;
+  return sim::HashMultiset(sim::kFnvOffsetBasis, "", m);
 }
 
 void RefreshDaemon::OnMessage(NodeId from, const Message& msg) {
@@ -324,12 +314,7 @@ bool SessionServer::Execute(const Message& msg, Message* reply,
     }
   } else {  // kQuery
     sim::ViewMultiset got;
-    const Status st =
-        driver->Query(msg.lo, msg.hi, [&](const db::Tuple& t, int64_t count) {
-          got[t] += count;
-          return true;
-        });
-    if (!st.ok()) {
+    if (!sim::QueryInto(driver, msg.lo, msg.hi, &got).ok()) {
       if (driver->disk()->crashed()) {
         EnterCrashed();
         return false;
@@ -350,24 +335,6 @@ bool SessionServer::Execute(const Message& msg, Message* reply,
   }
   *service_ms = std::max(0.01, driver->tracker()->TotalMs() - t0);
   return true;
-}
-
-db::Transaction SessionServer::BuildTxn(
-    const std::vector<std::pair<int64_t, double>>& victims,
-    std::map<int64_t, double>* staged) const {
-  db::Transaction txn;
-  for (const auto& [key, delta] : victims) {
-    const double old_v =
-        staged->count(key) ? (*staged)[key] : shadow_.v[key];
-    const double new_v = old_v + delta;
-    db::Tuple old_t = shadow_.BaseTuple(key);
-    old_t.at(workload::Scenario::kFieldV) = db::Value(old_v);
-    db::Tuple new_t = old_t;
-    new_t.at(workload::Scenario::kFieldV) = db::Value(new_v);
-    txn.Update(options_.driver->base(), old_t, new_t);
-    (*staged)[key] = new_v;
-  }
-  return txn;
 }
 
 SessionServer::CommitOutcome SessionServer::ApplyCommit(const Message& msg,
@@ -404,13 +371,15 @@ SessionServer::CommitOutcome SessionServer::ApplyCommit(const Message& msg,
   }
 
   // 2. Commit through the engine.
-  std::map<int64_t, double> staged;
-  const db::Transaction txn = BuildTxn(msg.victims, &staged);
+  sim::StagedTxn staged(shadow_, driver->base());
+  for (const auto& [key, delta] : msg.victims) {
+    staged.Set(key, staged.value(key) + delta);
+  }
   const uint64_t seq_before = driver->txn_seq();
-  st = driver->OnTransaction(txn);
+  st = driver->OnTransaction(staged.txn());
   if (st.ok()) {
     *txn_id = driver->txn_seq();
-    for (const auto& [key, v] : staged) shadow_.v[key] = v;
+    staged.CommitTo(&shadow_);
     return CommitOutcome::kCommitted;
   }
   if (driver->disk()->crashed()) return CommitOutcome::kCrash;
@@ -435,7 +404,7 @@ SessionServer::CommitOutcome SessionServer::ApplyCommit(const Message& msg,
   Counter("net_ambiguous_commits_resolved_total");
   if (driver->committed_txn_high_water() >= predicted) {
     *txn_id = predicted;
-    for (const auto& [key, v] : staged) shadow_.v[key] = v;
+    staged.CommitTo(&shadow_);
     return CommitOutcome::kCommitted;
   }
   return CommitOutcome::kNotCommitted;

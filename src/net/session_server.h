@@ -180,9 +180,6 @@ class SessionServer : public Endpoint {
   /// Records an applied commit: journal, dedup floor, shadow advance.
   void RecordApplied(const Message& msg, uint64_t txn_id,
                      const Message& reply);
-  db::Transaction BuildTxn(
-      const std::vector<std::pair<int64_t, double>>& victims,
-      std::map<int64_t, double>* staged) const;
 
   void EnterCrashed();
   void AttemptRestart();

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "common/logging.h"
+#include "sim/oracle.h"
 
 namespace viewmat::server {
 
@@ -12,47 +13,13 @@ StatusOr<uint64_t> SerialReplayDigest(
   if (ops.size() != schedule.ops.size()) {
     return Status::InvalidArgument("op results do not match the schedule");
   }
-  VIEWMAT_ASSIGN_OR_RETURN(std::unique_ptr<sim::StrategyDriver> replay,
-                           sim::StrategyDriver::Create(options.driver));
-  sim::ShadowOracle shadow = sim::MakeShadow(*replay->scenario());
-  uint64_t committed = 0;
+  std::vector<sim::Victims> committed;
   for (size_t i = 0; i < schedule.ops.size(); ++i) {
-    if (ops[i].status != OpStatus::kCommitted) continue;
-    const ScheduledOp& op = schedule.ops[i];
-    db::Transaction txn = BuildUpdateTxn(shadow, op, replay->base());
-    VIEWMAT_RETURN_IF_ERROR(replay->OnTransaction(txn));
-    txn.MarkCommitted();
-    AdvanceShadow(op, &shadow);
-    ++committed;
+    if (ops[i].status == OpStatus::kCommitted) {
+      committed.push_back(schedule.ops[i].victims);
+    }
   }
-  VIEWMAT_RETURN_IF_ERROR(replay->Converge());
-
-  // Golden triple: the replayed system's full view answer and visible base
-  // must match the shadow oracle exactly — a digest collision between two
-  // equally-wrong states cannot slip through.
-  sim::ViewMultiset answered;
-  VIEWMAT_RETURN_IF_ERROR(replay->Query(
-      0, shadow.n - 1, [&](const db::Tuple& value, int64_t count) {
-        answered[value] += count;
-        return true;
-      }));
-  if (answered != sim::ExpectedRange(shadow, replay->model(), 0,
-                                     shadow.n - 1)) {
-    return Status::Internal(
-        "serial replay view answer disagrees with the shadow oracle");
-  }
-  sim::ViewMultiset base;
-  VIEWMAT_RETURN_IF_ERROR(replay->VisibleBase(&base));
-  sim::ViewMultiset expected_base;
-  for (int64_t key = 0; key < shadow.n; ++key) {
-    expected_base[shadow.BaseTuple(key)] += 1;
-  }
-  if (base != expected_base) {
-    return Status::Internal(
-        "serial replay base contents disagree with the committed state");
-  }
-  (void)committed;
-  return StateDigest(replay.get());
+  return sim::ReplayDigest(options.driver, committed);
 }
 
 Status CheckSerializability(ViewServer::Options options,

@@ -17,14 +17,13 @@ namespace viewmat::server {
 /// The server's commit pipeline makes that order explicit (commit LSN =
 /// schedule sequence), so the oracle exhibits the witness directly: it
 /// replays exactly the committed ops, in sequence order, through a fresh
-/// serial StrategyDriver, and demands state-digest equality — plus the
-/// golden triple from the torture harness (the replayed view must match
-/// the shadow oracle's expected multiset and the base must hold exactly
-/// the committed values), so a digest collision cannot mask corruption.
+/// serial StrategyDriver (sim::ReplayDigest), and demands state-digest
+/// equality. The replay also passes the golden triple (sim::CheckGolden),
+/// so a digest collision cannot mask corruption.
 
 /// Replays the committed updates of a finished run serially and returns
 /// the digest of the converged replay state. Errors if any replayed
-/// transaction fails or the replay state disagrees with the shadow oracle.
+/// transaction fails or the replay state fails the golden triple.
 StatusOr<uint64_t> SerialReplayDigest(
     const ViewServer::Options& options, const Schedule& schedule,
     const std::vector<ViewServer::OpResult>& ops);

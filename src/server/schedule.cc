@@ -1,8 +1,7 @@
 #include "server/schedule.h"
 
 #include <algorithm>
-#include <map>
-#include <string>
+#include <utility>
 
 #include "common/random.h"
 #include "db/predicate.h"
@@ -33,8 +32,7 @@ db::IntervalSet ReaderIntervals(const db::IntervalSet& screen, int64_t lo,
 /// The X-side interval set for an update: one point interval per distinct
 /// victim key (net A/D keys — old and new tuples share the key, only the
 /// payload changes).
-db::IntervalSet WriterIntervals(
-    const std::vector<std::pair<int64_t, double>>& victims) {
+db::IntervalSet WriterIntervals(const sim::Victims& victims) {
   db::IntervalSet keys;
   for (const auto& [key, new_v] : victims) {
     keys = db::IntervalSet::Union(keys,
@@ -169,22 +167,6 @@ Schedule BuildSchedule(const ScheduleOptions& options,
   return schedule;
 }
 
-db::Transaction BuildUpdateTxn(const sim::ShadowOracle& shadow,
-                               const ScheduledOp& op, db::Relation* rel) {
-  db::Transaction txn;
-  std::map<int64_t, double> staged;
-  for (const auto& [key, new_v] : op.victims) {
-    const double old_v = staged.count(key) ? staged[key] : shadow.v[key];
-    db::Tuple old_t = shadow.BaseTuple(key);
-    old_t.at(Scenario::kFieldV) = db::Value(old_v);
-    db::Tuple new_t = old_t;
-    new_t.at(Scenario::kFieldV) = db::Value(new_v);
-    txn.Update(rel, old_t, new_t);
-    staged[key] = new_v;
-  }
-  return txn;
-}
-
 void AdvanceShadow(const ScheduledOp& op, sim::ShadowOracle* shadow) {
   for (const auto& [key, new_v] : op.victims) shadow->v[key] = new_v;
 }
@@ -212,33 +194,6 @@ uint64_t AnalyzeSchedule(Schedule* schedule) {
     }
   }
   return total;
-}
-
-StatusOr<uint64_t> StateDigest(sim::StrategyDriver* driver) {
-  sim::ViewMultiset base;
-  VIEWMAT_RETURN_IF_ERROR(driver->VisibleBase(&base));
-  sim::ViewMultiset view;
-  const int64_t n = driver->scenario()->n();
-  VIEWMAT_RETURN_IF_ERROR(
-      driver->Query(0, n - 1, [&](const db::Tuple& value, int64_t count) {
-        view[value] += count;
-        return true;
-      }));
-
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](const std::string& s) {
-    for (const char c : s) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& [t, count] : base) {
-    mix("B" + t.ToString() + ":" + std::to_string(count));
-  }
-  for (const auto& [t, count] : view) {
-    mix("V" + t.ToString() + ":" + std::to_string(count));
-  }
-  return h;
 }
 
 }  // namespace viewmat::server

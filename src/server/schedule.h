@@ -2,12 +2,10 @@
 #define VIEWMAT_SERVER_SCHEDULE_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "common/status.h"
-#include "db/transaction.h"
 #include "server/lock_manager.h"
+#include "sim/oracle.h"
 #include "sim/strategy_driver.h"
 
 namespace viewmat::server {
@@ -32,7 +30,7 @@ struct ScheduledOp {
   /// Old values are *not* stored — they are re-derived from the shadow at
   /// execution (and at serial replay) so the same op description stays
   /// valid for whichever committed prefix precedes it.
-  std::vector<std::pair<int64_t, double>> victims;
+  sim::Victims victims;
   /// Updates: the client aborts voluntarily after acquiring its locks —
   /// the lifecycle's begin/acquire/abort path, with undo via Abort().
   bool voluntary_abort = false;
@@ -103,13 +101,8 @@ struct Schedule {
 Schedule BuildSchedule(const ScheduleOptions& options,
                        sim::StrategyDriver* driver);
 
-/// Reconstructs the update transaction for `op` against `rel`, deriving old
-/// tuple values from `shadow` with fault_sweep's intra-transaction staging
-/// rule (a key hit twice in one transaction sees its own earlier write).
-db::Transaction BuildUpdateTxn(const sim::ShadowOracle& shadow,
-                               const ScheduledOp& op, db::Relation* rel);
-
-/// Advances `shadow` by the op's staged writes (call only on commit).
+/// Advances `shadow` by the op's writes (call only on commit). Execution
+/// stages the same writes with sim::StagedTxn.
 void AdvanceShadow(const ScheduledOp& op, sim::ShadowOracle* shadow);
 
 /// Deterministic lock-conflict analysis: each op is tested against the
@@ -117,11 +110,6 @@ void AdvanceShadow(const ScheduledOp& op, sim::ShadowOracle* shadow);
 /// window), filling conflict_preds/conflicts_rw/conflicts_ww. Returns the
 /// total number of conflict edges.
 uint64_t AnalyzeSchedule(Schedule* schedule);
-
-/// FNV-1a digest of the driver's converged observable state: the visible
-/// base multiset plus the full-range view answer. Two runs ended in the
-/// same logical state iff their digests match (up to hashing).
-StatusOr<uint64_t> StateDigest(sim::StrategyDriver* driver);
 
 }  // namespace viewmat::server
 

@@ -155,19 +155,20 @@ bool ViewServer::ExecuteOp(size_t i) {
   storage::ShardScope shard(tracker, &op_shards_[i]);
 
   if (op.kind == OpKind::kUpdate) {
-    db::Transaction txn = BuildUpdateTxn(exec_shadow_, op, driver_->base());
+    sim::StagedTxn staged(exec_shadow_, driver_->base());
+    for (const auto& [key, v] : op.victims) staged.Set(key, v);
     if (op.voluntary_abort) {
       // begin → acquire → abort: undo the unapplied net changes and walk
       // away; the base was never touched, so there is nothing to recover.
-      txn.Abort();
+      staged.txn().Abort();
       r.status = OpStatus::kAborted;
     } else {
       const uint64_t seq_before = driver_->txn_seq();
-      const Status st = driver_->OnTransaction(txn);
+      const Status st = driver_->OnTransaction(staged.txn());
       if (driver_->txn_seq() != seq_before) r.txn_id = driver_->txn_seq();
       if (st.ok()) {
-        txn.MarkCommitted();
-        AdvanceShadow(op, &exec_shadow_);
+        staged.txn().MarkCommitted();
+        staged.CommitTo(&exec_shadow_);
         r.status = OpStatus::kCommitted;
       } else {
         // Provisional when a txn id was issued: the commit record may have
@@ -179,12 +180,7 @@ bool ViewServer::ExecuteOp(size_t i) {
     }
   } else {
     sim::ViewMultiset got;
-    const Status st = driver_->Query(
-        op.lo, op.hi, [&](const db::Tuple& value, int64_t count) {
-          got[value] += count;
-          return true;
-        });
-    if (!st.ok()) {
+    if (!sim::QueryInto(driver_.get(), op.lo, op.hi, &got).ok()) {
       r.status = OpStatus::kQueryFailed;  // loud failure: crash runs only
     } else {
       r.status = got == op.expected ? OpStatus::kQueryExact
@@ -378,15 +374,13 @@ StatusOr<ViewServer::Result> ViewServer::Run() {
       // lost — after reconciliation already declared them lost.
       VIEWMAT_RETURN_IF_ERROR(driver_->DiscardVolatileWal());
     }
-    Status recovered = Status::Internal("not attempted");
-    for (int attempt = 0; attempt < 4 && !recovered.ok(); ++attempt) {
-      recovered = driver_->Recover();
-    }
-    VIEWMAT_RETURN_IF_ERROR(recovered);
+    VIEWMAT_RETURN_IF_ERROR(
+        sim::RecoverWithRestarts(driver_.get(), /*attempts=*/4));
     ReconcileAfterRecovery();
   }
   VIEWMAT_RETURN_IF_ERROR(driver_->Converge());
-  VIEWMAT_ASSIGN_OR_RETURN(result.state_digest, StateDigest(driver_.get()));
+  VIEWMAT_ASSIGN_OR_RETURN(result.state_digest,
+                           sim::StateDigest(driver_.get()));
   result.recoveries = driver_->recoveries();
 
   // Logical wait analysis on the committed timeline: an op "arrives" when

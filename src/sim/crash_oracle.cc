@@ -1,7 +1,6 @@
 #include "sim/crash_oracle.h"
 
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -9,14 +8,13 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/random.h"
-#include "workload/workload.h"
+#include "sim/oracle.h"
 
 namespace viewmat::sim {
 
 namespace {
 
 using costmodel::Params;
-using workload::Scenario;
 
 /// Recovery attempts before declaring the run corrupt. The crash model
 /// fires at most one scripted crash per run, so a healthy-device recovery
@@ -43,25 +41,14 @@ void CheckPrefix(StrategyDriver* driver, const ShadowOracle& shadow,
                  RunStats* stats) {
   ++stats->prefix_checks;
   ViewMultiset got_base;
-  Status scanned = driver->VisibleBase(&got_base);
-  if (!scanned.ok()) {
+  if (!driver->VisibleBase(&got_base).ok()) {
     stats->divergence = true;
     return;
   }
-  ViewMultiset want_base;
-  for (int64_t key = 0; key < shadow.n; ++key) {
-    want_base[shadow.BaseTuple(key)] += 1;
-  }
-  if (got_base != want_base) stats->divergence = true;
+  if (got_base != ExpectedBase(shadow)) stats->divergence = true;
 
   ViewMultiset got;
-  Status queried =
-      driver->Query(0, shadow.n - 1, [&](const db::Tuple& value,
-                                         int64_t count) {
-        got[value] += count;
-        return true;
-      });
-  if (!queried.ok()) {
+  if (!QueryInto(driver, 0, shadow.n - 1, &got).ok()) {
     // A healthy post-recovery device must serve reads.
     stats->divergence = true;
     return;
@@ -69,26 +56,6 @@ void CheckPrefix(StrategyDriver* driver, const ShadowOracle& shadow,
   if (got != ExpectedRange(shadow, driver->model(), 0, shadow.n - 1)) {
     stats->stale_read = true;
   }
-}
-
-/// Restart + Recover until it sticks, then run the equivalence check.
-/// Returns false when recovery never succeeded (the run is corrupt).
-bool RecoverAndCheck(StrategyDriver* driver, const ShadowOracle& shadow,
-                     RunStats* stats) {
-  bool recovered = false;
-  for (int attempt = 0; attempt < kMaxRecoverAttempts; ++attempt) {
-    if (driver->disk()->crashed()) driver->disk()->Restart();
-    if (driver->Recover().ok()) {
-      recovered = true;
-      break;
-    }
-  }
-  if (!recovered) {
-    stats->corrupt = true;
-    return false;
-  }
-  CheckPrefix(driver, shadow, stats);
-  return true;
 }
 
 /// One oracle run: the seeded workload against a fresh instance, with a
@@ -117,78 +84,34 @@ Status RunOne(const CrashOracleOptions& options, const Params& params,
     if (driver->disk()->crashed()) {
       // The crash fired somewhere in the previous operation; this is the
       // oracle's moment: restart, recover, and demand prefix equivalence.
-      if (!RecoverAndCheck(driver.get(), shadow, stats)) break;
+      if (!RecoverWithRestarts(driver.get(), kMaxRecoverAttempts).ok()) {
+        stats->corrupt = true;
+        break;
+      }
+      CheckPrefix(driver.get(), shadow, stats);
     }
     const bool is_query =
         options.query_every > 0 &&
         (op % options.query_every) == (options.query_every - 1);
-    if (!is_query) {
-      db::Transaction txn;
-      std::map<int64_t, double> staged;
-      for (int64_t j = 0; j < l; ++j) {
-        const int64_t key = static_cast<int64_t>(rng.Uniform(shadow.n));
-        const double old_v = staged.count(key) ? staged[key] : shadow.v[key];
-        const double new_v = rng.NextDouble() * 1000.0;
-        db::Tuple old_t = shadow.BaseTuple(key);
-        old_t.at(Scenario::kFieldV) = db::Value(old_v);
-        db::Tuple new_t = old_t;
-        new_t.at(Scenario::kFieldV) = db::Value(new_v);
-        txn.Update(driver->base(), old_t, new_t);
-        staged[key] = new_v;
+    if (is_query) {
+      // A loud failure is acceptable mid-crash; a wrong answer never.
+      switch (TortureQuery(driver.get(), shadow, &rng)) {
+        case QueryVerdict::kExact: break;
+        case QueryVerdict::kFailed: ++stats->failed_queries; break;
+        case QueryVerdict::kStale: stats->stale_read = true; break;
       }
-      const uint64_t seq_before = driver->txn_seq();
-      const Status st = driver->OnTransaction(txn);
-      bool committed = st.ok();
-      if (!st.ok()) {
-        if (driver->txn_seq() == seq_before) {
-          // Rejected before an id was issued: no commit record can exist.
-          ++stats->rejected_txns;
-        } else {
-          // Ambiguous: the recovered log's committed high-water mark is the
-          // arbiter. Recovery doubles as a prefix-equivalence checkpoint —
-          // but only after the shadow has been settled, so resolve first.
-          const uint64_t id = driver->txn_seq();
-          bool recovered = false;
-          for (int attempt = 0; attempt < kMaxRecoverAttempts; ++attempt) {
-            if (driver->disk()->crashed()) driver->disk()->Restart();
-            if (driver->Recover().ok()) {
-              recovered = true;
-              break;
-            }
-          }
-          if (!recovered) {
-            stats->corrupt = true;
-            break;
-          }
-          committed = driver->committed_txn_high_water() >= id;
-          if (!committed) ++stats->rejected_txns;
-          if (committed) {
-            for (const auto& [key, new_v] : staged) shadow.v[key] = new_v;
-          }
-          CheckPrefix(driver.get(), shadow, stats);
-          continue;
-        }
-      }
-      if (committed) {
-        for (const auto& [key, new_v] : staged) shadow.v[key] = new_v;
-      }
-    } else {
-      const int64_t lo = static_cast<int64_t>(rng.Uniform(shadow.n));
-      const int64_t hi = lo + static_cast<int64_t>(rng.Uniform(
-                                  std::max<int64_t>(1, shadow.n / 2)));
-      ViewMultiset got;
-      const Status st =
-          driver->Query(lo, hi, [&](const db::Tuple& value, int64_t count) {
-            got[value] += count;
-            return true;
-          });
-      if (!st.ok()) {
-        // A loud failure is acceptable mid-crash; a wrong answer never.
-        ++stats->failed_queries;
-      } else if (got != ExpectedRange(shadow, options.model, lo, hi)) {
-        stats->stale_read = true;
-      }
+      continue;
     }
+    const TortureUpdateOutcome update = TortureUpdate(
+        driver.get(), &shadow, &rng, l, kMaxRecoverAttempts);
+    if (update.unresolved) {
+      stats->corrupt = true;
+      break;
+    }
+    if (!update.committed) ++stats->rejected_txns;
+    // The recovery that resolved an ambiguous commit doubles as a
+    // prefix-equivalence checkpoint, now that the shadow is settled.
+    if (update.ambiguous) CheckPrefix(driver.get(), shadow, stats);
   }
 
   // Convergence: the crash (if any) fires exactly once, so with restarts
@@ -204,29 +127,11 @@ Status RunOne(const CrashOracleOptions& options, const Params& params,
   }
   stats->window_ops = driver->disk()->op_count() - window_start;
 
-  // Golden check on a guaranteed-quiet device: the converged answer must
-  // equal the oracle AND a from-scratch recompute over the folded base.
+  // Golden triple on a guaranteed-quiet device (after the window is read).
   driver->disk()->ClearFaults();
   if (driver->disk()->crashed()) driver->disk()->Restart();
-  if (!stats->corrupt) {
-    ViewMultiset got;
-    Status st = driver->Query(0, shadow.n - 1,
-                              [&](const db::Tuple& value, int64_t count) {
-                                got[value] += count;
-                                return true;
-                              });
-    ViewMultiset recomputed;
-    if (st.ok()) {
-      st = RecomputeFromBase(options.model, driver->sp_def(),
-                             driver->join_def(), driver->base(), &recomputed);
-    }
-    if (!st.ok()) {
-      stats->corrupt = true;
-    } else {
-      const ViewMultiset expected =
-          ExpectedRange(shadow, options.model, 0, shadow.n - 1);
-      if (got != expected || recomputed != expected) stats->corrupt = true;
-    }
+  if (!stats->corrupt && !CheckGolden(driver.get(), shadow).ok()) {
+    stats->corrupt = true;
   }
 
   stats->crashed = driver->disk()->crashes() > 0;

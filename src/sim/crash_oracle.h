@@ -51,8 +51,7 @@ struct CrashOracleResult {
   ///  - stale_reads: a post-recovery or mid-workload query returned OK with
   ///    a wrong answer;
   ///  - corrupt_runs: a run failed to converge on a healthy device, or its
-  ///    converged view disagreed with the oracle or a from-scratch
-  ///    recompute.
+  ///    converged state failed the golden triple.
   int divergences = 0;
   int stale_reads = 0;
   int corrupt_runs = 0;
@@ -69,8 +68,9 @@ struct CrashOracleResult {
 /// and checks prefix equivalence: the recovered (base, view) state must
 /// equal the state produced by serially applying exactly the committed
 /// transactions — committed-ness resolved against the durable log's
-/// high-water mark. Every run ends with convergence plus the three-way
-/// golden check (view ≡ oracle ≡ from-scratch recompute).
+/// high-water mark. Every run ends with convergence plus the golden triple
+/// (view ≡ oracle ≡ from-scratch recompute, visible base ≡ committed
+/// state; see sim/oracle.h).
 StatusOr<CrashOracleResult> RunCrashOracle(const CrashOracleOptions& options);
 
 }  // namespace viewmat::sim

@@ -1,16 +1,14 @@
 #include "sim/fault_sweep.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/random.h"
+#include "sim/oracle.h"
 #include "storage/faulty_disk.h"
-#include "workload/workload.h"
 
 namespace viewmat::sim {
 
@@ -18,7 +16,6 @@ namespace {
 
 using costmodel::Params;
 using storage::CrashPoint;
-using workload::Scenario;
 
 /// The protocol crash points an AD-journaled run may script, in
 /// announcement order.
@@ -29,6 +26,10 @@ constexpr CrashPoint kScriptablePoints[] = {
     CrashPoint::kMidFold,         CrashPoint::kBeforeAdReset,
     CrashPoint::kMidAdReset,
 };
+
+/// Recover() attempts to resolve one ambiguous commit before declaring the
+/// run corrupt; the fault budget bounds how many of them can fail.
+constexpr int kMaxResolveAttempts = 1000;
 
 uint64_t RunSeed(uint64_t base, size_t rate_idx, int run_idx) {
   uint64_t x = base ^ (0x9e3779b97f4a7c15ull * (rate_idx + 1));
@@ -83,127 +84,46 @@ Status RunOne(const FaultSweepOptions& options, const Params& params,
         options.query_every > 0 && (op % options.query_every) ==
                                        (options.query_every - 1);
     if (disk.crashed()) disk.Restart();
-    if (!is_query) {
-      // One update transaction: l victims, each getting a fresh v. The
-      // shadow advances only if the transaction durably committed. An
-      // acknowledgment is definitive; an error is not — a torn write can
-      // land the commit record in full while the append still reports
-      // failure — so an errored transaction that got as far as a commit
-      // attempt is resolved against the recovered log's committed-txn high
-      // water mark before the next transaction is built from the shadow.
-      db::Transaction txn;
-      std::map<int64_t, double> staged;
-      for (int64_t j = 0; j < l; ++j) {
-        const int64_t key = static_cast<int64_t>(rng.Uniform(shadow.n));
-        const double old_v =
-            staged.count(key) ? staged[key] : shadow.v[key];
-        const double new_v = rng.NextDouble() * 1000.0;
-        db::Tuple old_t = shadow.BaseTuple(key);
-        old_t.at(Scenario::kFieldV) = db::Value(old_v);
-        db::Tuple new_t = old_t;
-        new_t.at(Scenario::kFieldV) = db::Value(new_v);
-        txn.Update(driver->base(), old_t, new_t);
-        staged[key] = new_v;
+    if (is_query) {
+      // A loud failure is acceptable under faults; a wrong answer never.
+      switch (TortureQuery(driver.get(), shadow, &rng)) {
+        case QueryVerdict::kExact: break;
+        case QueryVerdict::kFailed: ++outcome->failed_queries; break;
+        case QueryVerdict::kStale: outcome->silently_stale = true; break;
       }
-      const uint64_t seq_before = driver->txn_seq();
-      const Status st = driver->OnTransaction(txn);
-      bool committed = st.ok();
-      if (!st.ok()) {
-        if (driver->txn_seq() == seq_before) {
-          // Rejected before a transaction id was even issued: no commit
-          // record can exist. Best-effort recovery keeps the system live
-          // (an RM-committing strategy refuses work after a failed apply
-          // until Recover() completes the interrupted transaction).
-          ++outcome->rejected_txns;
-          if (disk.crashed()) disk.Restart();
-          (void)driver->Recover();
-        } else {
-          // Ambiguous: recover until the log can be read (the fault budget
-          // guarantees eventual success) and let the durable commit record
-          // decide.
-          const uint64_t id = driver->txn_seq();
-          bool resolved = false;
-          for (int attempt = 0; attempt < 1000; ++attempt) {
-            if (disk.crashed()) disk.Restart();
-            if (driver->Recover().ok()) {
-              resolved = true;
-              break;
-            }
-          }
-          if (!resolved) {
-            outcome->corrupt = true;  // healthy-budget recovery must succeed
-            break;
-          }
-          committed = driver->committed_txn_high_water() >= id;
-          if (!committed) ++outcome->rejected_txns;
-        }
-      }
-      if (committed) {
-        for (const auto& [key, new_v] : staged) shadow.v[key] = new_v;
-      }
-    } else {
-      const int64_t lo = static_cast<int64_t>(rng.Uniform(shadow.n));
-      const int64_t hi =
-          lo + static_cast<int64_t>(rng.Uniform(std::max<int64_t>(
-                   1, shadow.n / 2)));
-      ViewMultiset got;
-      const Status st = driver->Query(
-          lo, hi, [&](const db::Tuple& value, int64_t count) {
-            got[value] += count;
-            return true;
-          });
-      if (!st.ok()) {
-        // A loud failure is acceptable under faults; a wrong answer never.
-        ++outcome->failed_queries;
-      } else if (got != ExpectedRange(shadow, options.model, lo, hi)) {
-        outcome->silently_stale = true;
-      }
+      continue;
+    }
+    // One update transaction of l victims. Recovery must eventually
+    // resolve an ambiguous commit (the fault budget guarantees a healthy
+    // device), so failing to is corruption.
+    const TortureUpdateOutcome update = TortureUpdate(
+        driver.get(), &shadow, &rng, l, kMaxResolveAttempts);
+    if (update.unresolved) {
+      outcome->corrupt = true;
+      break;
+    }
+    if (update.committed) continue;
+    ++outcome->rejected_txns;
+    if (!update.ambiguous) {
+      // Rejected before a transaction id was even issued: no commit
+      // record can exist. Best-effort recovery keeps the system live (an
+      // RM-committing strategy refuses work after a failed apply until
+      // Recover() completes the interrupted transaction).
+      if (disk.crashed()) disk.Restart();
+      (void)driver->Recover();
     }
   }
 
   // Disarm everything and converge: with a healthy device, recovery plus a
-  // final refresh must always succeed.
+  // final refresh must always succeed, and the golden triple must hold.
   disk.ClearFaults();
   if (disk.crashed()) disk.Restart();
   Status converged = Status::Internal("not attempted");
   for (int attempt = 0; attempt < 4 && !converged.ok(); ++attempt) {
     converged = driver->Converge();
   }
-  if (!converged.ok()) {
+  if (!converged.ok() || !CheckGolden(driver.get(), shadow).ok()) {
     outcome->corrupt = true;
-  } else {
-    // Golden invariant, checked three ways: the strategy's answer must
-    // equal the shadow oracle AND a from-scratch recompute over the folded
-    // base relation — and the base itself must hold exactly the committed
-    // state.
-    ViewMultiset answered;
-    Status scan = driver->Query(0, shadow.n - 1,
-                                [&](const db::Tuple& value, int64_t count) {
-                                  answered[value] += count;
-                                  return true;
-                                });
-    ViewMultiset recomputed;
-    if (scan.ok()) {
-      scan = RecomputeFromBase(options.model, driver->sp_def(),
-                               driver->join_def(), driver->base(),
-                               &recomputed);
-    }
-    ViewMultiset base_contents;
-    if (scan.ok()) scan = driver->VisibleBase(&base_contents);
-    if (!scan.ok()) {
-      outcome->corrupt = true;
-    } else {
-      const ViewMultiset expected = ExpectedRange(
-          shadow, options.model, 0, shadow.n - 1);
-      ViewMultiset expected_base;
-      for (int64_t key = 0; key < shadow.n; ++key) {
-        expected_base[shadow.BaseTuple(key)] += 1;
-      }
-      if (answered != expected || recomputed != expected ||
-          base_contents != expected_base) {
-        outcome->corrupt = true;
-      }
-    }
   }
 
   cell->faults_injected += disk.faults_injected();

@@ -1,9 +1,11 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "common/logging.h"
 #include "costmodel/model1.h"
@@ -11,6 +13,7 @@
 #include "costmodel/model3.h"
 #include "db/catalog.h"
 #include "hr/ad_file.h"
+#include "sim/strategy_driver.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk.h"
 #include "view/aggregate.h"
@@ -26,6 +29,7 @@ namespace viewmat::sim {
 namespace {
 
 using costmodel::Params;
+using costmodel::Strategy;
 using workload::Scenario;
 
 /// A database instance for one strategy run.
@@ -55,31 +59,6 @@ hr::AdFile::Options AdOptionsFor(const Params& params) {
   options.hash_buckets = static_cast<uint32_t>(
       std::max(2.0, 2.0 * params.u() / params.T() + 1.0));
   return options;
-}
-
-view::SelectProjectDef MakeSpDef(Scenario* scenario, db::Relation* base) {
-  view::SelectProjectDef def;
-  def.base = base;
-  def.predicate = scenario->ViewPredicate();
-  // Project k1 and v: the clustering key plus the updated payload — "half
-  // the attributes" in spirit (the wide pad column is dropped, so view
-  // tuples are about half the base tuple size, as in the paper).
-  def.projection = {Scenario::kFieldK1, Scenario::kFieldV};
-  def.view_key_field = 0;
-  return def;
-}
-
-view::JoinDef MakeJoinDef(Scenario* scenario, db::Relation* r1,
-                          db::Relation* r2) {
-  view::JoinDef def;
-  def.r1 = r1;
-  def.r2 = r2;
-  def.cf = scenario->ViewPredicate();
-  def.r1_join_field = Scenario::kFieldK2;
-  def.r1_projection = {Scenario::kFieldK1, Scenario::kFieldV};
-  def.r2_projection = {0, 1};  // key, w
-  def.view_key_field = 0;
-  return def;
 }
 
 view::AggregateDef MakeAggDef(Scenario* scenario, db::Relation* base) {
@@ -133,46 +112,126 @@ struct RunObservers {
   obs::Histogram* query_ms = nullptr;
 };
 
-/// Queries/updates actually driven through a strategy.
-struct DriveStats {
-  size_t queries = 0;
-  size_t updates = 0;
+/// One strategy the simulator races on a model.
+struct Contender {
+  Strategy strategy;
+  /// How R (R1 for the join) is stored.
+  db::AccessMethod base_method = db::AccessMethod::kClusteredBTree;
 };
 
-/// Drives the op sequence through a tuple-view strategy; returns ms/query.
-Status DriveTupleStrategy(const SimOptions& options, Scenario* scenario,
-                          Instance* inst, db::Relation* updated_rel,
-                          view::ViewStrategy* strategy,
-                          const std::string& run_name, double* ms_per_query,
-                          DriveStats* stats = nullptr,
-                          storage::CostTimeline* timeline = nullptr) {
+/// Every model's contenders, in report order. Model 1's unclustered query
+/// modification reads R from a heap file.
+std::vector<Contender> Contenders(int model) {
+  switch (model) {
+    case 1:
+      return {{Strategy::kDeferred},
+              {Strategy::kImmediate},
+              {Strategy::kQmClustered},
+              {Strategy::kQmUnclustered, db::AccessMethod::kHeap},
+              {Strategy::kQmSequential}};
+    case 2:
+      return {{Strategy::kDeferred},
+              {Strategy::kImmediate},
+              {Strategy::kQmLoopJoin}};
+    default:
+      return {{Strategy::kDeferred},
+              {Strategy::kImmediate},
+              {Strategy::kQmRecompute}};
+  }
+}
+
+/// Loads the model's relations into `inst`: R (R1 for the join) stored as
+/// `method`, plus R2 for Model 2. Returns the updated relation.
+StatusOr<db::Relation*> LoadRelations(int model, db::AccessMethod method,
+                                      Scenario* scenario, Instance* inst,
+                                      db::Relation** r2) {
+  if (model != 2) return scenario->LoadBase(&inst->catalog, "R", method);
+  VIEWMAT_ASSIGN_OR_RETURN(db::Relation * r1,
+                           scenario->LoadBase(&inst->catalog, "R1", method));
+  VIEWMAT_ASSIGN_OR_RETURN(*r2, scenario->LoadR2(&inst->catalog, "R2"));
+  return r1;
+}
+
+/// Fills a materializing strategy's stored copy from the loaded base.
+template <typename Base, typename S>
+StatusOr<std::unique_ptr<Base>> Initialized(std::unique_ptr<S> strategy) {
+  VIEWMAT_RETURN_IF_ERROR(strategy->InitializeFromBase());
+  return std::unique_ptr<Base>(std::move(strategy));
+}
+
+/// Contender `which` over a tuple view: Model 1's select-project or
+/// Model 2's join.
+template <typename Def>
+StatusOr<std::unique_ptr<view::ViewStrategy>> BuildTupleStrategy(
+    Strategy which, const Def& def, const Params& params,
+    storage::CostTracker* tracker) {
+  using Owned = std::unique_ptr<view::ViewStrategy>;
+  if (which == Strategy::kDeferred) {
+    return Initialized<view::ViewStrategy>(
+        std::make_unique<view::DeferredStrategy>(def, AdOptionsFor(params),
+                                                 tracker));
+  }
+  if (which == Strategy::kImmediate) {
+    return Initialized<view::ViewStrategy>(
+        std::make_unique<view::ImmediateStrategy>(def, tracker));
+  }
+  if constexpr (std::is_same_v<Def, view::JoinDef>) {
+    return Owned(std::make_unique<view::QmJoinStrategy>(def, tracker));
+  } else {
+    return Owned(std::make_unique<view::QmSelectProjectStrategy>(
+        def, tracker,
+        /*force_sequential=*/which == Strategy::kQmSequential));
+  }
+}
+
+/// Contender `which` over Model 3's aggregate.
+StatusOr<std::unique_ptr<view::AggregateStrategy>> BuildAggregateStrategy(
+    Strategy which, const view::AggregateDef& def, const Params& params,
+    Instance* inst) {
+  if (which == Strategy::kDeferred) {
+    return Initialized<view::AggregateStrategy>(
+        std::make_unique<view::DeferredAggregateStrategy>(
+            def, AdOptionsFor(params), &inst->disk, &inst->tracker));
+  }
+  if (which == Strategy::kImmediate) {
+    return Initialized<view::AggregateStrategy>(
+        std::make_unique<view::ImmediateAggregateStrategy>(def, &inst->disk,
+                                                           &inst->tracker));
+  }
+  return std::unique_ptr<view::AggregateStrategy>(
+      std::make_unique<view::RecomputeAggregateStrategy>(def,
+                                                         &inst->tracker));
+}
+
+/// The run loop: drives the scenario's op sequence through one engine,
+/// starting cold — `update` applies each generated transaction, `query`
+/// serves each query. Fills the run's op counts, counters, and ms/query,
+/// plus its timeline when timelines are on.
+Status RunOps(const SimOptions& options, Scenario* scenario, Instance* inst,
+              db::Relation* updated,
+              const std::function<Status(const db::Transaction&)>& update,
+              const std::function<Status()>& query, StrategyRun* run) {
   // Loading/initialization happens outside the measured window: persist it
   // and start the run cold.
   VIEWMAT_RETURN_IF_ERROR(inst->pool.FlushAndEvictAll());
   inst->tracker.Reset();
-  RunObservers observe(options, inst, run_name);
+  RunObservers observe(options, inst, run->name);
   std::unique_ptr<storage::TimelineRecorder> recorder;
-  if (timeline != nullptr && options.timeline_window_ms > 0) {
+  if (options.timeline_window_ms > 0) {
     recorder = std::make_unique<storage::TimelineRecorder>(
         &inst->tracker, options.timeline_window_ms);
   }
-  size_t queries = 0;
-  size_t updates = 0;
   for (const Scenario::OpKind op : scenario->OpSequence()) {
     const double before_ms = inst->tracker.TotalMs();
-    bool is_update = false;
-    if (op == Scenario::OpKind::kUpdate) {
-      const db::Transaction txn = scenario->NextUpdateTransaction(updated_rel);
-      VIEWMAT_RETURN_IF_ERROR(strategy->OnTransaction(txn));
-      ++updates;
-      is_update = true;
+    const bool is_update = op == Scenario::OpKind::kUpdate;
+    if (is_update) {
+      VIEWMAT_RETURN_IF_ERROR(
+          update(scenario->NextUpdateTransaction(updated)));
+      ++run->updates;
       observe.OnUpdate(inst->tracker.TotalMs() - before_ms);
     } else {
-      const Scenario::QueryRange range = scenario->NextQueryRange();
-      VIEWMAT_RETURN_IF_ERROR(strategy->Query(
-          range.lo, range.hi,
-          [](const db::Tuple&, int64_t) { return true; }));
-      ++queries;
+      VIEWMAT_RETURN_IF_ERROR(query());
+      ++run->queries;
       observe.OnQuery(inst->tracker.TotalMs() - before_ms);
     }
     if (options.cold_cache_between_ops) {
@@ -183,32 +242,18 @@ Status DriveTupleStrategy(const SimOptions& options, Scenario* scenario,
     if (recorder != nullptr) recorder->OnOp(is_update, before_ms);
   }
   VIEWMAT_RETURN_IF_ERROR(inst->pool.FlushAll());
-  if (recorder != nullptr) *timeline = recorder->Finish();
-  if (stats != nullptr) {
-    stats->queries = queries;
-    stats->updates = updates;
-  }
+  if (recorder != nullptr) run->timeline = recorder->Finish();
   // The instance (and its clock) dies with the run; detach the tracer.
   if (options.tracer != nullptr) options.tracer->SetClock(nullptr);
-  *ms_per_query =
-      inst->tracker.TotalMs() / static_cast<double>(std::max<size_t>(queries, 1));
+  run->measured_ms_per_query =
+      inst->tracker.TotalMs() /
+      static_cast<double>(std::max<size_t>(run->queries, 1));
+  run->counters = inst->tracker.counters();
+  run->attributed = inst->tracker.attributed();
   return Status::OK();
 }
 
-/// Baseline: transactions hit the base relation, queries do nothing.
-class NoViewStrategy : public view::ViewStrategy {
- public:
-  Status OnTransaction(const db::Transaction& txn) override {
-    return txn.ApplyToBase();
-  }
-  Status Query(int64_t, int64_t,
-               const view::MaterializedView::CountedVisitor&) override {
-    return Status::OK();
-  }
-  const char* name() const override { return "no-view-baseline"; }
-};
-
-double AnalyticalFor(int model, costmodel::Strategy s, const Params& p) {
+double AnalyticalFor(int model, Strategy s, const Params& p) {
   switch (model) {
     case 1: {
       auto c = costmodel::Model1Cost(s, p);
@@ -262,279 +307,94 @@ std::string SimResult::ToString() const {
   return out;
 }
 
-StatusOr<SimResult> SimulateModel1(const Params& params,
-                                   const SimOptions& options) {
+StatusOr<SimResult> Simulate(int model, const Params& params,
+                             const SimOptions& options) {
+  if (model < 1 || model > 3) {
+    return Status::InvalidArgument("the paper has models 1, 2 and 3");
+  }
   VIEWMAT_RETURN_IF_ERROR(params.Validate());
   const size_t pool_pages = options.buffer_pool_pages != 0
                                 ? options.buffer_pool_pages
                                 : AutoPoolPages(params);
   SimResult result;
   result.params = params;
-  result.model = 1;
+  result.model = model;
   result.seed = options.seed;
   result.buffer_pool_pages = pool_pages;
   result.cold_cache_between_ops = options.cold_cache_between_ops;
 
-  // --- Baseline ----------------------------------------------------------
+  // --- Baseline: transactions hit the base relation, queries do no view
+  // work (but draw their range, as the tuple-view contenders do).
   {
     Scenario scenario(params, options.seed);
     Instance inst(params, pool_pages);
+    db::Relation* r2 = nullptr;
     VIEWMAT_ASSIGN_OR_RETURN(
         db::Relation * base,
-        scenario.LoadBase(&inst.catalog, "R", db::AccessMethod::kClusteredBTree));
-    NoViewStrategy baseline;
-    VIEWMAT_RETURN_IF_ERROR(DriveTupleStrategy(
-        options, &scenario, &inst, base, &baseline, "baseline",
-        &result.baseline_ms_per_query));
+        LoadRelations(model, db::AccessMethod::kClusteredBTree, &scenario,
+                      &inst, &r2));
+    StrategyRun baseline;
+    baseline.name = "baseline";
+    VIEWMAT_RETURN_IF_ERROR(RunOps(
+        options, &scenario, &inst, base,
+        [](const db::Transaction& txn) { return txn.ApplyToBase(); },
+        [&scenario] {
+          scenario.NextQueryRange();
+          return Status::OK();
+        },
+        &baseline));
+    result.baseline_ms_per_query = baseline.measured_ms_per_query;
   }
 
-  struct Contender {
-    costmodel::Strategy model_strategy;
-    db::AccessMethod base_method;
-    enum class Kind { kDeferred, kImmediate, kQm, kQmSequential } kind;
-  };
-  const std::vector<Contender> contenders = {
-      {costmodel::Strategy::kDeferred, db::AccessMethod::kClusteredBTree,
-       Contender::Kind::kDeferred},
-      {costmodel::Strategy::kImmediate, db::AccessMethod::kClusteredBTree,
-       Contender::Kind::kImmediate},
-      {costmodel::Strategy::kQmClustered, db::AccessMethod::kClusteredBTree,
-       Contender::Kind::kQm},
-      {costmodel::Strategy::kQmUnclustered, db::AccessMethod::kHeap,
-       Contender::Kind::kQm},
-      {costmodel::Strategy::kQmSequential, db::AccessMethod::kClusteredBTree,
-       Contender::Kind::kQmSequential},
-  };
-
-  for (const Contender& contender : contenders) {
+  for (const Contender& contender : Contenders(model)) {
     Scenario scenario(params, options.seed);
     Instance inst(params, pool_pages);
+    db::Relation* r2 = nullptr;
     VIEWMAT_ASSIGN_OR_RETURN(
         db::Relation * base,
-        scenario.LoadBase(&inst.catalog, "R", contender.base_method));
-    const view::SelectProjectDef def = MakeSpDef(&scenario, base);
-
-    std::unique_ptr<view::ViewStrategy> strategy;
-    switch (contender.kind) {
-      case Contender::Kind::kDeferred: {
-        auto s = std::make_unique<view::DeferredStrategy>(
-            def, AdOptionsFor(params), &inst.tracker);
-        VIEWMAT_RETURN_IF_ERROR(s->InitializeFromBase());
-        strategy = std::move(s);
-        break;
-      }
-      case Contender::Kind::kImmediate: {
-        auto s =
-            std::make_unique<view::ImmediateStrategy>(def, &inst.tracker);
-        VIEWMAT_RETURN_IF_ERROR(s->InitializeFromBase());
-        strategy = std::move(s);
-        break;
-      }
-      case Contender::Kind::kQm:
-        strategy = std::make_unique<view::QmSelectProjectStrategy>(
-            def, &inst.tracker);
-        break;
-      case Contender::Kind::kQmSequential:
-        strategy = std::make_unique<view::QmSelectProjectStrategy>(
-            def, &inst.tracker, /*force_sequential=*/true);
-        break;
+        LoadRelations(model, contender.base_method, &scenario, &inst, &r2));
+    std::unique_ptr<view::ViewStrategy> tuple;
+    std::unique_ptr<view::AggregateStrategy> aggregate;
+    if (model == 1) {
+      VIEWMAT_ASSIGN_OR_RETURN(
+          tuple, BuildTupleStrategy(contender.strategy,
+                                    MakeSpDef(&scenario, base), params,
+                                    &inst.tracker));
+    } else if (model == 2) {
+      VIEWMAT_ASSIGN_OR_RETURN(
+          tuple, BuildTupleStrategy(contender.strategy,
+                                    MakeJoinDef(&scenario, base, r2), params,
+                                    &inst.tracker));
+    } else {
+      VIEWMAT_ASSIGN_OR_RETURN(
+          aggregate,
+          BuildAggregateStrategy(contender.strategy,
+                                 MakeAggDef(&scenario, base), params, &inst));
     }
-    VIEWMAT_RETURN_IF_ERROR(inst.pool.FlushAndEvictAll());
 
     StrategyRun run;
-    run.name = costmodel::StrategyName(contender.model_strategy);
-    DriveStats stats;
-    VIEWMAT_RETURN_IF_ERROR(DriveTupleStrategy(
-        options, &scenario, &inst, base, strategy.get(), run.name,
-        &run.measured_ms_per_query, &stats, &run.timeline));
-    run.counters = inst.tracker.counters();
-    run.attributed = inst.tracker.attributed();
-    run.queries = stats.queries;
-    run.updates = stats.updates;
+    run.name = costmodel::StrategyName(contender.strategy);
+    VIEWMAT_RETURN_IF_ERROR(RunOps(
+        options, &scenario, &inst, base,
+        [&](const db::Transaction& txn) {
+          return tuple != nullptr ? tuple->OnTransaction(txn)
+                                  : aggregate->OnTransaction(txn);
+        },
+        [&]() -> Status {
+          if (aggregate != nullptr) {
+            // The aggregate has no range: Model 3 draws none.
+            db::Value value;
+            return aggregate->QueryValue(&value);
+          }
+          const Scenario::QueryRange range = scenario.NextQueryRange();
+          return tuple->Query(range.lo, range.hi,
+                              [](const db::Tuple&, int64_t) { return true; });
+        },
+        &run));
     run.adjusted_ms_per_query =
         run.measured_ms_per_query - result.baseline_ms_per_query;
     run.analytical_ms_per_query =
-        AnalyticalFor(1, contender.model_strategy, params);
-    result.runs.push_back(std::move(run));
-  }
-  return result;
-}
-
-StatusOr<SimResult> SimulateModel2(const Params& params,
-                                   const SimOptions& options) {
-  VIEWMAT_RETURN_IF_ERROR(params.Validate());
-  const size_t pool_pages = options.buffer_pool_pages != 0
-                                ? options.buffer_pool_pages
-                                : AutoPoolPages(params);
-  SimResult result;
-  result.params = params;
-  result.model = 2;
-  result.seed = options.seed;
-  result.buffer_pool_pages = pool_pages;
-  result.cold_cache_between_ops = options.cold_cache_between_ops;
-
-  {
-    Scenario scenario(params, options.seed);
-    Instance inst(params, pool_pages);
-    VIEWMAT_ASSIGN_OR_RETURN(
-        db::Relation * r1,
-        scenario.LoadBase(&inst.catalog, "R1",
-                          db::AccessMethod::kClusteredBTree));
-    VIEWMAT_ASSIGN_OR_RETURN(db::Relation * r2,
-                             scenario.LoadR2(&inst.catalog, "R2"));
-    (void)r2;
-    NoViewStrategy baseline;
-    VIEWMAT_RETURN_IF_ERROR(DriveTupleStrategy(
-        options, &scenario, &inst, r1, &baseline, "baseline",
-        &result.baseline_ms_per_query));
-  }
-
-  const std::vector<costmodel::Strategy> contenders = {
-      costmodel::Strategy::kDeferred, costmodel::Strategy::kImmediate,
-      costmodel::Strategy::kQmLoopJoin};
-
-  for (const costmodel::Strategy which : contenders) {
-    Scenario scenario(params, options.seed);
-    Instance inst(params, pool_pages);
-    VIEWMAT_ASSIGN_OR_RETURN(
-        db::Relation * r1,
-        scenario.LoadBase(&inst.catalog, "R1",
-                          db::AccessMethod::kClusteredBTree));
-    VIEWMAT_ASSIGN_OR_RETURN(db::Relation * r2,
-                             scenario.LoadR2(&inst.catalog, "R2"));
-    const view::JoinDef def = MakeJoinDef(&scenario, r1, r2);
-
-    std::unique_ptr<view::ViewStrategy> strategy;
-    if (which == costmodel::Strategy::kDeferred) {
-      auto s = std::make_unique<view::DeferredStrategy>(
-          def, AdOptionsFor(params), &inst.tracker);
-      VIEWMAT_RETURN_IF_ERROR(s->InitializeFromBase());
-      strategy = std::move(s);
-    } else if (which == costmodel::Strategy::kImmediate) {
-      auto s = std::make_unique<view::ImmediateStrategy>(def, &inst.tracker);
-      VIEWMAT_RETURN_IF_ERROR(s->InitializeFromBase());
-      strategy = std::move(s);
-    } else {
-      strategy = std::make_unique<view::QmJoinStrategy>(def, &inst.tracker);
-    }
-    VIEWMAT_RETURN_IF_ERROR(inst.pool.FlushAndEvictAll());
-
-    StrategyRun run;
-    run.name = costmodel::StrategyName(which);
-    DriveStats stats;
-    VIEWMAT_RETURN_IF_ERROR(DriveTupleStrategy(
-        options, &scenario, &inst, r1, strategy.get(), run.name,
-        &run.measured_ms_per_query, &stats, &run.timeline));
-    run.counters = inst.tracker.counters();
-    run.attributed = inst.tracker.attributed();
-    run.queries = stats.queries;
-    run.updates = stats.updates;
-    run.adjusted_ms_per_query =
-        run.measured_ms_per_query - result.baseline_ms_per_query;
-    run.analytical_ms_per_query = AnalyticalFor(2, which, params);
-    result.runs.push_back(std::move(run));
-  }
-  return result;
-}
-
-StatusOr<SimResult> SimulateModel3(const Params& params,
-                                   const SimOptions& options) {
-  VIEWMAT_RETURN_IF_ERROR(params.Validate());
-  const size_t pool_pages = options.buffer_pool_pages != 0
-                                ? options.buffer_pool_pages
-                                : AutoPoolPages(params);
-  SimResult result;
-  result.params = params;
-  result.model = 3;
-  result.seed = options.seed;
-  result.buffer_pool_pages = pool_pages;
-  result.cold_cache_between_ops = options.cold_cache_between_ops;
-
-  {
-    Scenario scenario(params, options.seed);
-    Instance inst(params, pool_pages);
-    VIEWMAT_ASSIGN_OR_RETURN(
-        db::Relation * base,
-        scenario.LoadBase(&inst.catalog, "R",
-                          db::AccessMethod::kClusteredBTree));
-    NoViewStrategy baseline;
-    VIEWMAT_RETURN_IF_ERROR(DriveTupleStrategy(
-        options, &scenario, &inst, base, &baseline, "baseline",
-        &result.baseline_ms_per_query));
-  }
-
-  const std::vector<costmodel::Strategy> contenders = {
-      costmodel::Strategy::kDeferred, costmodel::Strategy::kImmediate,
-      costmodel::Strategy::kQmRecompute};
-
-  for (const costmodel::Strategy which : contenders) {
-    Scenario scenario(params, options.seed);
-    Instance inst(params, pool_pages);
-    VIEWMAT_ASSIGN_OR_RETURN(
-        db::Relation * base,
-        scenario.LoadBase(&inst.catalog, "R",
-                          db::AccessMethod::kClusteredBTree));
-    const view::AggregateDef def = MakeAggDef(&scenario, base);
-
-    std::unique_ptr<view::AggregateStrategy> strategy;
-    if (which == costmodel::Strategy::kDeferred) {
-      auto s = std::make_unique<view::DeferredAggregateStrategy>(
-          def, AdOptionsFor(params), &inst.disk, &inst.tracker);
-      VIEWMAT_RETURN_IF_ERROR(s->InitializeFromBase());
-      strategy = std::move(s);
-    } else if (which == costmodel::Strategy::kImmediate) {
-      auto s = std::make_unique<view::ImmediateAggregateStrategy>(
-          def, &inst.disk, &inst.tracker);
-      VIEWMAT_RETURN_IF_ERROR(s->InitializeFromBase());
-      strategy = std::move(s);
-    } else {
-      strategy =
-          std::make_unique<view::RecomputeAggregateStrategy>(def, &inst.tracker);
-    }
-    VIEWMAT_RETURN_IF_ERROR(inst.pool.FlushAndEvictAll());
-    inst.tracker.Reset();
-
-    StrategyRun run;
-    run.name = costmodel::StrategyName(which);
-    RunObservers observe(options, &inst, run.name);
-    std::unique_ptr<storage::TimelineRecorder> recorder;
-    if (options.timeline_window_ms > 0) {
-      recorder = std::make_unique<storage::TimelineRecorder>(
-          &inst.tracker, options.timeline_window_ms);
-    }
-    size_t queries = 0;
-    for (const Scenario::OpKind op : scenario.OpSequence()) {
-      const double before_ms = inst.tracker.TotalMs();
-      bool is_update = false;
-      if (op == Scenario::OpKind::kUpdate) {
-        const db::Transaction txn = scenario.NextUpdateTransaction(base);
-        VIEWMAT_RETURN_IF_ERROR(strategy->OnTransaction(txn));
-        ++run.updates;
-        is_update = true;
-        observe.OnUpdate(inst.tracker.TotalMs() - before_ms);
-      } else {
-        db::Value value;
-        VIEWMAT_RETURN_IF_ERROR(strategy->QueryValue(&value));
-        ++queries;
-        observe.OnQuery(inst.tracker.TotalMs() - before_ms);
-      }
-      if (options.cold_cache_between_ops) {
-        VIEWMAT_RETURN_IF_ERROR(inst.pool.FlushAndEvictAll());
-      }
-      if (recorder != nullptr) recorder->OnOp(is_update, before_ms);
-    }
-    VIEWMAT_RETURN_IF_ERROR(inst.pool.FlushAll());
-    if (recorder != nullptr) run.timeline = recorder->Finish();
-    if (options.tracer != nullptr) options.tracer->SetClock(nullptr);
-
-    run.measured_ms_per_query =
-        inst.tracker.TotalMs() / static_cast<double>(std::max<size_t>(queries, 1));
-    run.counters = inst.tracker.counters();
-    run.attributed = inst.tracker.attributed();
-    run.queries = queries;
-    run.adjusted_ms_per_query =
-        run.measured_ms_per_query - result.baseline_ms_per_query;
-    run.analytical_ms_per_query = AnalyticalFor(3, which, params);
+        AnalyticalFor(model, contender.strategy, params);
     result.runs.push_back(std::move(run));
   }
   return result;

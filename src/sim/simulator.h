@@ -70,17 +70,12 @@ struct SimResult {
   std::string ToString() const;
 };
 
-/// Model 1: deferred, immediate, QM clustered / unclustered / sequential.
-StatusOr<SimResult> SimulateModel1(const costmodel::Params& params,
-                                   const SimOptions& options);
-
-/// Model 2: deferred, immediate, QM nested-loops join.
-StatusOr<SimResult> SimulateModel2(const costmodel::Params& params,
-                                   const SimOptions& options);
-
-/// Model 3: deferred, immediate, recompute-per-query.
-StatusOr<SimResult> SimulateModel3(const costmodel::Params& params,
-                                   const SimOptions& options);
+/// Drives paper model `model`'s workload through its contenders:
+///  - Model 1: deferred, immediate, QM clustered / unclustered / sequential;
+///  - Model 2: deferred, immediate, QM nested-loops join;
+///  - Model 3: deferred, immediate, recompute-per-query.
+StatusOr<SimResult> Simulate(int model, const costmodel::Params& params,
+                             const SimOptions& options);
 
 }  // namespace viewmat::sim
 

@@ -123,6 +123,9 @@ view::SelectProjectDef MakeSpDef(Scenario* scenario, db::Relation* base) {
   view::SelectProjectDef def;
   def.base = base;
   def.predicate = scenario->ViewPredicate();
+  // Project k1 and v: the clustering key plus the updated payload — "half
+  // the attributes" in spirit (the wide pad column is dropped, so view
+  // tuples are about half the base tuple size, as in the paper).
   def.projection = {Scenario::kFieldK1, Scenario::kFieldV};
   def.view_key_field = 0;
   return def;
@@ -136,7 +139,7 @@ view::JoinDef MakeJoinDef(Scenario* scenario, db::Relation* r1,
   def.cf = scenario->ViewPredicate();
   def.r1_join_field = Scenario::kFieldK2;
   def.r1_projection = {Scenario::kFieldK1, Scenario::kFieldV};
-  def.r2_projection = {0, 1};
+  def.r2_projection = {0, 1};  // key, w
   def.view_key_field = 0;
   return def;
 }

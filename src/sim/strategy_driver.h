@@ -90,6 +90,8 @@ bool ShadowViewTuple(const ShadowOracle& shadow, int model, int64_t key,
 ViewMultiset ExpectedRange(const ShadowOracle& shadow, int model, int64_t lo,
                            int64_t hi);
 
+/// The scenario's view definitions — Model 1's select-project and Model
+/// 2's join — shared by the driver and the simulator.
 view::SelectProjectDef MakeSpDef(workload::Scenario* scenario,
                                  db::Relation* base);
 view::JoinDef MakeJoinDef(workload::Scenario* scenario, db::Relation* r1,
@@ -188,8 +190,8 @@ class StrategyDriver {
   storage::FaultyDisk* disk() { return &disk_; }
   storage::BufferPool* pool() { return &pool_; }
   /// The driver-owned tracker (model clock + cost counters). The server
-  /// layer snapshots it per transaction (TxnCostContext) and hands its
-  /// thread-ownership claim across workers at commit-turn boundaries.
+  /// layer charges each op to a private CostShard (ShardScope) and merges
+  /// the shards in schedule order at retirement (MergeShard).
   storage::CostTracker* tracker() { return &tracker_; }
   db::Relation* base() { return rel_; }
   workload::Scenario* scenario() { return &scenario_; }

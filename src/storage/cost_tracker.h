@@ -454,45 +454,6 @@ class ShardScope {
   const CostTracker* prev_tracker_;
 };
 
-/// Per-transaction cost context: captures the slice of a shared tracker's
-/// growth attributable to one transaction as a pair of snapshot deltas
-/// (flat counters + the full component×phase matrix). Because the server's
-/// commit pipeline executes at most one transaction against the tracker at
-/// a time, the delta between Begin() and End() is exactly that
-/// transaction's charge — no routing of individual charges is needed, and
-/// the sum of all contexts reproduces the tracker totals to the counter
-/// (an invariant the server tests pin). Contexts are merged into reports
-/// in commit-LSN order, which is what keeps reports byte-identical for a
-/// fixed schedule at any worker count.
-class TxnCostContext {
- public:
-  /// Snapshots the tracker at transaction start. Must run on the thread
-  /// that currently owns the tracker (the worker holding the commit turn).
-  void Begin(const CostTracker* tracker) {
-    base_flat_ = tracker->counters();
-    base_attributed_ = tracker->attributed();
-    open_ = true;
-  }
-  /// Captures the delta at transaction end (commit or abort).
-  void End(const CostTracker* tracker) {
-    VIEWMAT_DCHECK(open_);
-    flat_ = tracker->counters() - base_flat_;
-    attributed_ = tracker->attributed() - base_attributed_;
-    open_ = false;
-  }
-
-  const CostCounters& flat() const { return flat_; }
-  const AttributedCounters& attributed() const { return attributed_; }
-  bool open() const { return open_; }
-
- private:
-  CostCounters base_flat_;
-  AttributedCounters base_attributed_;
-  CostCounters flat_;
-  AttributedCounters attributed_;
-  bool open_ = false;
-};
-
 /// RAII component tag: charges made while alive are attributed to `c`.
 /// Restores the previous tag on destruction, so nested structures (a
 /// B+-tree descent inside an AD-file probe) attribute to the innermost

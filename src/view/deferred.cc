@@ -9,41 +9,7 @@
 
 namespace viewmat::view {
 
-namespace {
-
 using storage::CrashPoint;
-
-db::Relation* UpdatedOf(const std::variant<SelectProjectDef, JoinDef>& def) {
-  if (std::holds_alternative<SelectProjectDef>(def)) {
-    return std::get<SelectProjectDef>(def).base;
-  }
-  return std::get<JoinDef>(def).r1;
-}
-
-TLockScreen MakeScreen(const std::variant<SelectProjectDef, JoinDef>& def,
-                       storage::CostTracker* tracker) {
-  if (std::holds_alternative<SelectProjectDef>(def)) {
-    return TLockScreen::ForSelectProject(std::get<SelectProjectDef>(def),
-                                         tracker);
-  }
-  return TLockScreen::ForJoin(std::get<JoinDef>(def), tracker);
-}
-
-std::unique_ptr<MaterializedView> MakeView(
-    const std::variant<SelectProjectDef, JoinDef>& def,
-    const std::string& name) {
-  if (std::holds_alternative<SelectProjectDef>(def)) {
-    const auto& sp = std::get<SelectProjectDef>(def);
-    return std::make_unique<MaterializedView>(sp.base->pool(), name,
-                                              sp.ViewSchema(),
-                                              sp.view_key_field);
-  }
-  const auto& j = std::get<JoinDef>(def);
-  return std::make_unique<MaterializedView>(j.r1->pool(), name,
-                                            j.ViewSchema(), j.view_key_field);
-}
-
-}  // namespace
 
 DeferredStrategy::DeferredStrategy(SelectProjectDef def,
                                    hr::AdFile::Options ad_options,
@@ -51,7 +17,7 @@ DeferredStrategy::DeferredStrategy(SelectProjectDef def,
     : def_(std::move(def)),
       tracker_(tracker),
       screen_(MakeScreen(def_, tracker)),
-      hr_(UpdatedOf(def_), ad_options) {
+      hr_(UpdatedRelation(def_), ad_options) {
   VIEWMAT_CHECK(std::get<SelectProjectDef>(def_).Validate().ok());
   view_ = MakeView(def_, "deferred_view");
 }
@@ -61,49 +27,23 @@ DeferredStrategy::DeferredStrategy(JoinDef def, hr::AdFile::Options ad_options,
     : def_(std::move(def)),
       tracker_(tracker),
       screen_(MakeScreen(def_, tracker)),
-      hr_(UpdatedOf(def_), ad_options) {
+      hr_(UpdatedRelation(def_), ad_options) {
   VIEWMAT_CHECK(std::get<JoinDef>(def_).Validate().ok());
   view_ = MakeView(def_, "deferred_view");
-}
-
-db::Relation* DeferredStrategy::UpdatedRelation() const {
-  return UpdatedOf(def_);
-}
-
-StatusOr<bool> DeferredStrategy::Map(const db::Tuple& t, db::Tuple* out) {
-  if (std::holds_alternative<SelectProjectDef>(def_)) {
-    return std::get<SelectProjectDef>(def_).MapTuple(t, out);
-  }
-  return std::get<JoinDef>(def_).MapTuple(t, out, tracker_);
-}
-
-db::Relation::TupleVisitor DeferredStrategy::ViewInserter(Status* inner) {
-  return [this, inner](const db::Tuple& t) {
-    db::Tuple value;
-    auto mapped = Map(t, &value);
-    if (!mapped.ok()) {
-      *inner = mapped.status();
-      return false;
-    }
-    if (*mapped) {
-      *inner = view_->ApplyInsert(value);
-      if (!inner->ok()) return false;
-    }
-    return true;
-  };
 }
 
 Status DeferredStrategy::InitializeFromBase() {
   VIEWMAT_RETURN_IF_ERROR(view_->Clear());
   Status inner = Status::OK();
-  VIEWMAT_RETURN_IF_ERROR(UpdatedRelation()->Scan(ViewInserter(&inner)));
+  VIEWMAT_RETURN_IF_ERROR(UpdatedRelation(def_)->Scan(
+      ViewInserter(def_, tracker_, view_.get(), &inner)));
   return inner;
 }
 
 Status DeferredStrategy::OnTransaction(const db::Transaction& txn) {
   const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kUpdateApply);
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "txn");
-  const db::NetChange& net = txn.ChangesFor(UpdatedRelation());
+  const db::NetChange& net = txn.ChangesFor(UpdatedRelation(def_));
   if (net.empty()) return Status::OK();
   if (crash_safe() &&
       (phase_ == RecoveryPhase::kNeedFold ||
@@ -124,7 +64,7 @@ Status DeferredStrategy::OnTransaction(const db::Transaction& txn) {
   // admitted, base read).
   for (const db::Tuple& t : net.deletes()) {
     VIEWMAT_RETURN_IF_ERROR(hr_.FindAllByKey(
-        t.at(UpdatedRelation()->key_field()).AsInt64(),
+        t.at(UpdatedRelation(def_)->key_field()).AsInt64(),
         [](const db::Tuple&) { return false; }));
   }
   // Screening happens at update time: survivors get their view marker (the
@@ -152,12 +92,14 @@ Status DeferredStrategy::MapNets(const std::vector<db::Tuple>& a_net,
   // the predicate without re-charging the screen.
   for (const db::Tuple& t : d_net) {
     db::Tuple value;
-    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes, Map(t, &value));
+    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes,
+                             MapToView(def_, t, &value, tracker_));
     if (contributes) view_deletes->push_back(std::move(value));
   }
   for (const db::Tuple& t : a_net) {
     db::Tuple value;
-    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes, Map(t, &value));
+    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes,
+                             MapToView(def_, t, &value, tracker_));
     if (contributes) view_inserts->push_back(std::move(value));
   }
   return Status::OK();
@@ -183,7 +125,7 @@ Status DeferredStrategy::RefreshSafe() {
   if (hr_.ad().entry_count() == 0) return Status::OK();
   const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kRefresh);
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "refresh");
-  storage::BufferPool* pool = UpdatedRelation()->pool();
+  storage::BufferPool* pool = UpdatedRelation(def_)->pool();
   storage::DiskInterface* disk = pool->disk();
 
   // Read-only preparation: scan the nets and map the view deltas. Failure
@@ -225,7 +167,7 @@ Status DeferredStrategy::RefreshSafe() {
 Status DeferredStrategy::FoldAndReset(const std::vector<db::Tuple>& a_net,
                                       const std::vector<db::Tuple>& d_net,
                                       bool idempotent) {
-  storage::BufferPool* pool = UpdatedRelation()->pool();
+  storage::BufferPool* pool = UpdatedRelation(def_)->pool();
   storage::DiskInterface* disk = pool->disk();
   obs::ScopedSpan fold_span(storage::TracerOf(tracker_), "refresh.fold");
   VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kBeforeFold));
@@ -242,7 +184,7 @@ Status DeferredStrategy::FoldAndReset(const std::vector<db::Tuple>& a_net,
 
 Status DeferredStrategy::FinishReset() {
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "refresh.ad_reset");
-  storage::DiskInterface* disk = UpdatedRelation()->pool()->disk();
+  storage::DiskInterface* disk = UpdatedRelation(def_)->pool()->disk();
   VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kBeforeAdReset));
   // Reset clears the hash file and Bloom filter and truncates the WAL
   // (removing the epoch's markers: the refresh is no longer "in flight").
@@ -253,7 +195,7 @@ Status DeferredStrategy::FinishReset() {
 }
 
 Status DeferredStrategy::RebuildViewAndFold() {
-  storage::BufferPool* pool = UpdatedRelation()->pool();
+  storage::BufferPool* pool = UpdatedRelation(def_)->pool();
   storage::DiskInterface* disk = pool->disk();
   // Re-begin under a fresh epoch: the old epoch's begin marker stays in the
   // log but is superseded as "newest begun".
@@ -268,7 +210,8 @@ Status DeferredStrategy::RebuildViewAndFold() {
   Status inner = Status::OK();
   VIEWMAT_RETURN_IF_ERROR(hr_.RangeScanByKey(
       std::numeric_limits<int64_t>::min(),
-      std::numeric_limits<int64_t>::max(), ViewInserter(&inner)));
+      std::numeric_limits<int64_t>::max(),
+      ViewInserter(def_, tracker_, view_.get(), &inner)));
   VIEWMAT_RETURN_IF_ERROR(inner);
   VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kAfterViewPatch));
   VIEWMAT_RETURN_IF_ERROR(pool->FlushAll());
@@ -364,7 +307,7 @@ Status DeferredStrategy::QueryViaModification(
       std::numeric_limits<int64_t>::max(), [&](const db::Tuple& t) {
         if (tracker_ != nullptr) tracker_->ChargeTupleCpu();
         db::Tuple value;
-        auto mapped = Map(t, &value);
+        auto mapped = MapToView(def_, t, &value, tracker_);
         if (!mapped.ok()) {
           inner = mapped.status();
           return false;

@@ -1,14 +1,13 @@
 #ifndef VIEWMAT_VIEW_DEFERRED_H_
 #define VIEWMAT_VIEW_DEFERRED_H_
 
-#include <variant>
-
 #include "common/status.h"
 #include "hr/hypothetical_relation.h"
 #include "storage/cost_tracker.h"
 #include "view/materialized_view.h"
 #include "view/screening.h"
 #include "view/strategy.h"
+#include "view/tuple_view.h"
 #include "view/view_def.h"
 
 namespace viewmat::view {
@@ -146,11 +145,6 @@ class DeferredStrategy : public ViewStrategy {
   /// ridden out while a hard-down device fails fast.
   static constexpr int kMaxRecoveryAttempts = 3;
 
-  db::Relation* UpdatedRelation() const;
-  StatusOr<bool> Map(const db::Tuple& t, db::Tuple* out);
-  /// Visitor inserting each visited tuple's view image into the copy; the
-  /// first failure lands in *inner and stops the scan.
-  db::Relation::TupleVisitor ViewInserter(Status* inner);
   /// Maps folded A/D nets into view insert/delete deltas.
   Status MapNets(const std::vector<db::Tuple>& a_net,
                  const std::vector<db::Tuple>& d_net,
@@ -192,7 +186,7 @@ class DeferredStrategy : public ViewStrategy {
   Status QueryViaModification(int64_t lo, int64_t hi,
                               const MaterializedView::CountedVisitor& visit);
 
-  std::variant<SelectProjectDef, JoinDef> def_;
+  TupleViewDef def_;
   storage::CostTracker* tracker_;
   TLockScreen screen_;
   hr::HypotheticalRelation hr_;

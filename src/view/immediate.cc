@@ -5,33 +5,6 @@
 
 namespace viewmat::view {
 
-namespace {
-
-TLockScreen MakeScreen(const std::variant<SelectProjectDef, JoinDef>& def,
-                       storage::CostTracker* tracker) {
-  if (std::holds_alternative<SelectProjectDef>(def)) {
-    return TLockScreen::ForSelectProject(std::get<SelectProjectDef>(def),
-                                         tracker);
-  }
-  return TLockScreen::ForJoin(std::get<JoinDef>(def), tracker);
-}
-
-std::unique_ptr<MaterializedView> MakeView(
-    const std::variant<SelectProjectDef, JoinDef>& def,
-    const std::string& name) {
-  if (std::holds_alternative<SelectProjectDef>(def)) {
-    const auto& sp = std::get<SelectProjectDef>(def);
-    return std::make_unique<MaterializedView>(sp.base->pool(), name,
-                                              sp.ViewSchema(),
-                                              sp.view_key_field);
-  }
-  const auto& j = std::get<JoinDef>(def);
-  return std::make_unique<MaterializedView>(j.r1->pool(), name,
-                                            j.ViewSchema(), j.view_key_field);
-}
-
-}  // namespace
-
 ImmediateStrategy::ImmediateStrategy(SelectProjectDef def,
                                      storage::CostTracker* tracker)
     : def_(std::move(def)),
@@ -50,36 +23,11 @@ ImmediateStrategy::ImmediateStrategy(JoinDef def,
   view_ = MakeView(def_, "immediate_view");
 }
 
-db::Relation* ImmediateStrategy::UpdatedRelation() const {
-  if (std::holds_alternative<SelectProjectDef>(def_)) {
-    return std::get<SelectProjectDef>(def_).base;
-  }
-  return std::get<JoinDef>(def_).r1;
-}
-
-StatusOr<bool> ImmediateStrategy::Map(const db::Tuple& t, db::Tuple* out) {
-  if (std::holds_alternative<SelectProjectDef>(def_)) {
-    return std::get<SelectProjectDef>(def_).MapTuple(t, out);
-  }
-  return std::get<JoinDef>(def_).MapTuple(t, out, tracker_);
-}
-
 Status ImmediateStrategy::InitializeFromBase() {
   VIEWMAT_RETURN_IF_ERROR(view_->Clear());
   Status inner = Status::OK();
-  VIEWMAT_RETURN_IF_ERROR(UpdatedRelation()->Scan([&](const db::Tuple& t) {
-    db::Tuple value;
-    auto mapped = Map(t, &value);
-    if (!mapped.ok()) {
-      inner = mapped.status();
-      return false;
-    }
-    if (*mapped) {
-      inner = view_->ApplyInsert(value);
-      if (!inner.ok()) return false;
-    }
-    return true;
-  }));
+  VIEWMAT_RETURN_IF_ERROR(UpdatedRelation(def_)->Scan(
+      ViewInserter(def_, tracker_, view_.get(), &inner)));
   return inner;
 }
 
@@ -101,7 +49,7 @@ Status ImmediateStrategy::OnTransaction(const db::Transaction& txn) {
 }
 
 Status ImmediateStrategy::PatchView(const db::Transaction& txn) {
-  const db::NetChange& net = txn.ChangesFor(UpdatedRelation());
+  const db::NetChange& net = txn.ChangesFor(UpdatedRelation(def_));
   if (net.empty()) return Status::OK();
 
   std::vector<db::Tuple> view_inserts;
@@ -110,14 +58,16 @@ Status ImmediateStrategy::PatchView(const db::Transaction& txn) {
     if (!screen_.Passes(t)) continue;
     if (tracker_ != nullptr) tracker_->ChargeAdSetOp();  // D-set upkeep (C3)
     db::Tuple value;
-    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes, Map(t, &value));
+    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes,
+                             MapToView(def_, t, &value, tracker_));
     if (contributes) view_deletes.push_back(std::move(value));
   }
   for (const db::Tuple& t : net.inserts()) {
     if (!screen_.Passes(t)) continue;
     if (tracker_ != nullptr) tracker_->ChargeAdSetOp();  // A-set upkeep (C3)
     db::Tuple value;
-    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes, Map(t, &value));
+    VIEWMAT_ASSIGN_OR_RETURN(const bool contributes,
+                             MapToView(def_, t, &value, tracker_));
     if (contributes) view_inserts.push_back(std::move(value));
   }
   ++refresh_count_;

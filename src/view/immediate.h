@@ -1,13 +1,12 @@
 #ifndef VIEWMAT_VIEW_IMMEDIATE_H_
 #define VIEWMAT_VIEW_IMMEDIATE_H_
 
-#include <variant>
-
 #include "common/status.h"
 #include "storage/cost_tracker.h"
 #include "view/materialized_view.h"
 #include "view/screening.h"
 #include "view/strategy.h"
+#include "view/tuple_view.h"
 #include "view/view_def.h"
 
 namespace viewmat::view {
@@ -52,14 +51,10 @@ class ImmediateStrategy : public ViewStrategy {
   uint64_t refresh_count() const { return refresh_count_; }
 
  private:
-  /// The relation whose updates drive the view (R, or R1 for joins).
-  db::Relation* UpdatedRelation() const;
-  /// Maps a base tuple to a view value; false when it contributes nothing.
-  StatusOr<bool> Map(const db::Tuple& t, db::Tuple* out);
   /// Screens and applies one transaction's delta to the stored copy.
   Status PatchView(const db::Transaction& txn);
 
-  std::variant<SelectProjectDef, JoinDef> def_;
+  TupleViewDef def_;
   storage::CostTracker* tracker_;
   TLockScreen screen_;
   std::unique_ptr<MaterializedView> view_;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
-namespace viewmat::sim {
+namespace viewmat::net {
 namespace {
+
+using sim::StrategyKind;
 
 /// The tentpole acceptance bar: under EVERY fault profile — drops,
 /// duplicates, reorders, delays, partitions, and crashes during
@@ -28,7 +30,7 @@ ChaosOracleResult RunCell(ChaosProfile profile, StrategyKind kind,
   EXPECT_GT(result->acked_commits, 0u) << result->ToString();
   EXPECT_GT(result->acked_queries, 0u) << result->ToString();
   EXPECT_TRUE(result->Clean())
-      << ChaosProfileName(profile) << "/" << StrategyKindName(kind)
+      << ChaosProfileName(profile) << "/" << sim::StrategyKindName(kind)
       << "\n" << result->ToString();
   return *result;
 }
@@ -124,4 +126,4 @@ TEST(ChaosOracleTest, RejectsBadOptions) {
 }
 
 }  // namespace
-}  // namespace viewmat::sim
+}  // namespace viewmat::net

@@ -26,12 +26,12 @@ TEST(Observability, Model1TraceIsByteStableForFixedSeed) {
 
   obs::Tracer first;
   options.tracer = &first;
-  auto a = SimulateModel1(SmallParams(), options);
+  auto a = Simulate(1, SmallParams(), options);
   ASSERT_TRUE(a.ok());
 
   obs::Tracer second;
   options.tracer = &second;
-  auto b = SimulateModel1(SmallParams(), options);
+  auto b = Simulate(1, SmallParams(), options);
   ASSERT_TRUE(b.ok());
 
   EXPECT_GT(first.span_count(), 0u);
@@ -52,9 +52,9 @@ TEST(Observability, Model1TraceIsByteStableForFixedSeed) {
 TEST(Observability, AttributedCountersSumToFlatTotalsInAllModels) {
   const costmodel::Params params = SmallParams();
   const SimOptions options;
-  auto m1 = SimulateModel1(params, options);
-  auto m2 = SimulateModel2(params, options);
-  auto m3 = SimulateModel3(params, options);
+  auto m1 = Simulate(1, params, options);
+  auto m2 = Simulate(2, params, options);
+  auto m3 = Simulate(3, params, options);
   ASSERT_TRUE(m1.ok());
   ASSERT_TRUE(m2.ok());
   ASSERT_TRUE(m3.ok());
@@ -71,7 +71,7 @@ TEST(Observability, AttributionIsInvisibleToCostTotals) {
   // A traced + metered run must report the same counters as a bare run:
   // observability explains the cost, never changes it.
   SimOptions bare;
-  auto plain = SimulateModel1(SmallParams(), bare);
+  auto plain = Simulate(1, SmallParams(), bare);
   ASSERT_TRUE(plain.ok());
 
   obs::Tracer tracer;
@@ -79,7 +79,7 @@ TEST(Observability, AttributionIsInvisibleToCostTotals) {
   SimOptions observed;
   observed.tracer = &tracer;
   observed.metrics = &metrics;
-  auto traced = SimulateModel1(SmallParams(), observed);
+  auto traced = Simulate(1, SmallParams(), observed);
   ASSERT_TRUE(traced.ok());
 
   ASSERT_EQ(plain->runs.size(), traced->runs.size());
@@ -96,7 +96,7 @@ TEST(Observability, MetricsRegistryIsPopulatedByRuns) {
   obs::MetricsRegistry metrics;
   SimOptions options;
   options.metrics = &metrics;
-  auto result = SimulateModel1(SmallParams(), options);
+  auto result = Simulate(1, SmallParams(), options);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(metrics.counter_count(), 0u);
   EXPECT_GT(metrics.histogram_count(), 0u);
@@ -108,7 +108,7 @@ TEST(Observability, MetricsRegistryIsPopulatedByRuns) {
 TEST(Observability, SimResultToStringCarriesRunMetadata) {
   SimOptions options;
   options.seed = 99;
-  auto result = SimulateModel1(SmallParams(), options);
+  auto result = Simulate(1, SmallParams(), options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->model, 1);
   EXPECT_EQ(result->seed, 99u);

@@ -28,7 +28,7 @@ const StrategyRun* FindRun(const SimResult& result, const std::string& name) {
 }
 
 TEST(SimulatorModel1, RunsAllStrategiesAndMeasuresCost) {
-  auto result = SimulateModel1(SmallParams(), SimOptions{});
+  auto result = Simulate(1, SmallParams(), SimOptions{});
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->runs.size(), 5u);
   EXPECT_GT(result->baseline_ms_per_query, 0.0);
@@ -45,7 +45,7 @@ TEST(SimulatorModel1, MeasuredOrderingMatchesHeadlineClaims) {
   // worse than clustered, and deferred carries visible HR overhead over
   // immediate (the C_AD/C_ADread terms) without being catastropically
   // worse.
-  auto result = SimulateModel1(SmallParams(), SimOptions{});
+  auto result = Simulate(1, SmallParams(), SimOptions{});
   ASSERT_TRUE(result.ok());
   const auto* clustered = FindRun(*result, "clustered");
   const auto* unclustered = FindRun(*result, "unclustered");
@@ -75,7 +75,7 @@ TEST(SimulatorModel2, ImmediateBeatsLoopJoinAndCostsArePositive) {
   // is that immediate maintenance answers join-view queries cheaper than
   // re-joining, and every strategy has a meaningful positive
   // view-attributable cost.
-  auto result = SimulateModel2(SmallParams(), SimOptions{});
+  auto result = Simulate(2, SmallParams(), SimOptions{});
   ASSERT_TRUE(result.ok());
   const auto* loopjoin = FindRun(*result, "loopjoin");
   const auto* deferred = FindRun(*result, "deferred");
@@ -98,7 +98,7 @@ TEST(SimulatorModel3, MaintenanceFarCheaperThanRecompute) {
   // Figure 8's headline shape, by measurement: maintaining the aggregate
   // state costs a small fraction of recomputing it per query. (Deferred
   // carries its HR overhead, so its margin is smaller than immediate's.)
-  auto result = SimulateModel3(SmallParams(), SimOptions{});
+  auto result = Simulate(3, SmallParams(), SimOptions{});
   ASSERT_TRUE(result.ok());
   const auto* recompute = FindRun(*result, "recompute");
   const auto* deferred = FindRun(*result, "deferred");
@@ -117,12 +117,12 @@ TEST(SimulatorModel3, MaintenanceFarCheaperThanRecompute) {
 TEST(Simulator, RejectsInvalidParams) {
   costmodel::Params p = SmallParams();
   p.f = 2.0;
-  EXPECT_FALSE(SimulateModel1(p, SimOptions{}).ok());
+  EXPECT_FALSE(Simulate(1, p, SimOptions{}).ok());
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {
-  auto a = SimulateModel3(SmallParams(), SimOptions{});
-  auto b = SimulateModel3(SmallParams(), SimOptions{});
+  auto a = Simulate(3, SmallParams(), SimOptions{});
+  auto b = Simulate(3, SmallParams(), SimOptions{});
   ASSERT_TRUE(a.ok() && b.ok());
   for (size_t i = 0; i < a->runs.size(); ++i) {
     EXPECT_DOUBLE_EQ(a->runs[i].measured_ms_per_query,

@@ -124,52 +124,6 @@ TEST(CostTracker, IsTheTracersModelClock) {
   EXPECT_DOUBLE_EQ(tracer.spans()[0].end_ms, 31.0);
 }
 
-TEST(CostTracker, TxnCostContextCapturesExactlyTheEnclosedCharges) {
-  CostTracker tracker;
-  tracker.ChargeRead(7);  // pre-context noise the delta must exclude
-
-  TxnCostContext ctx;
-  ctx.Begin(&tracker);
-  EXPECT_TRUE(ctx.open());
-  {
-    ScopedComponent comp(&tracker, Component::kBptree);
-    ScopedPhase phase(&tracker, Phase::kUpdateApply);
-    tracker.ChargeRead(2);
-    tracker.ChargeWrite(3);
-    tracker.ChargeScreen(5);
-  }
-  ctx.End(&tracker);
-  EXPECT_FALSE(ctx.open());
-  tracker.ChargeWrite(11);  // post-context noise the delta must exclude
-
-  EXPECT_EQ(ctx.flat().disk_reads, 2u);
-  EXPECT_EQ(ctx.flat().disk_writes, 3u);
-  EXPECT_EQ(ctx.flat().screen_tests, 5u);
-  const CostCounters& cell =
-      ctx.attributed().at(Component::kBptree, Phase::kUpdateApply);
-  EXPECT_EQ(cell.disk_reads, 2u);
-  EXPECT_EQ(cell.disk_writes, 3u);
-  EXPECT_EQ(cell.screen_tests, 5u);
-  EXPECT_TRUE(ctx.attributed().Total() == ctx.flat());
-}
-
-TEST(CostTracker, TxnCostContextsPartitionTheTrackerTotals) {
-  // Back-to-back contexts (the commit pipeline's shape): their sum must
-  // reproduce the tracker's totals to the counter.
-  CostTracker tracker;
-  CostCounters merged;
-  for (int txn = 0; txn < 5; ++txn) {
-    TxnCostContext ctx;
-    ctx.Begin(&tracker);
-    tracker.ChargeRead(static_cast<uint64_t>(txn + 1));
-    tracker.ChargeTupleCpu(static_cast<uint64_t>(2 * txn + 1));
-    ctx.End(&tracker);
-    merged += ctx.flat();
-  }
-  EXPECT_TRUE(merged == tracker.counters());
-  EXPECT_DOUBLE_EQ(tracker.Ms(merged), tracker.TotalMs());
-}
-
 TEST(CostTracker, TransferOwnershipHandsTheTrackerToAnotherThread) {
   // Serialized handoff: the main thread charges, releases its claim, and a
   // second thread charges next. Without TransferOwnership() the second
