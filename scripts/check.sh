@@ -6,10 +6,12 @@
 # exhaustive crash-point sweep: one crashed run per disk operation for every
 # maintenance strategy) and the wire-protocol chaos label, then a
 # thread-sanitized build running the concurrency suites (tsan label) and the
-# chaos suites again under TSan.
+# chaos suites again under TSan. The full lane also runs the wall-clock
+# benchmark's self-check (perfbench/selfcheck.py).
 #
 # Usage: scripts/check.sh [--quick]
-#   --quick   plain build only (skip the sanitizer builds and torture label)
+#   --quick   plain build only (skip the sanitizer builds, torture label and
+#             benchmark self-check)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -54,6 +56,12 @@ echo "== bench regression gate (bench_diff vs committed baselines) =="
   --jobs "$jobs" >/dev/null
 ./build/bench/bench_diff BENCH_chaos.json \
   build/BENCH_chaos.new.json --threshold 5%
+
+echo "== benchmark self-check (perfbench against src/, tiny sizes) =="
+# perfbench builds from src/ and re-derives every answer it checks through
+# the library (net::DigestMultiset, the sim oracles), so src/ drifting from
+# what the benchmark expects fails here rather than in a benchmark run.
+python3 perfbench/selfcheck.py
 
 echo "== server smoke (multi-client view server + serializability oracle) =="
 ctest --test-dir build --output-on-failure -L server

@@ -6,6 +6,15 @@
 
 namespace viewmat {
 
+/// The SplitMix64 output function: a bijective 64-bit mix with full
+/// avalanche, so sequential or structured inputs spread uniformly.
+inline uint64_t SplitMix64(uint64_t x) {
+  uint64_t z = x + 0x9e3779b97f4a7c15ULL;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 /// Deterministic PRNG (xorshift128+) used by workload generation, hashing
 /// salt selection and tests. Deterministic seeding keeps every experiment
 /// reproducible run to run, which matters because EXPERIMENTS.md records
@@ -47,10 +56,9 @@ class Random {
 
  private:
   static uint64_t SplitMix(uint64_t* state) {
-    uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    const uint64_t x = *state;
+    *state += 0x9e3779b97f4a7c15ULL;
+    return SplitMix64(x);
   }
 
   uint64_t s0_;

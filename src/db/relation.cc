@@ -243,10 +243,17 @@ Status Relation::Scan(const TupleVisitor& visit) const {
 
 Status Relation::RangeScanByKey(int64_t lo, int64_t hi,
                                 const TupleVisitor& visit) const {
+  return RangeScanRecords(lo, hi, [&](const uint8_t* record) {
+    return visit(Tuple::Deserialize(schema_, record));
+  });
+}
+
+Status Relation::RangeScanRecords(int64_t lo, int64_t hi,
+                                  const RecordVisitor& visit) const {
   switch (method_) {
     case AccessMethod::kClusteredBTree:
       return btree_->RangeScan(lo, hi, [&](int64_t, const uint8_t* payload) {
-        return visit(Tuple::Deserialize(schema_, payload));
+        return visit(payload);
       });
     case AccessMethod::kClusteredHash:
       return Status::InvalidArgument(
@@ -257,7 +264,7 @@ Status Relation::RangeScanByKey(int64_t lo, int64_t hi,
       for (auto it = heap_key_index_.lower_bound(lo);
            it != heap_key_index_.end() && it->first <= hi; ++it) {
         VIEWMAT_RETURN_IF_ERROR(heap_->Get(it->second, buf.data()));
-        if (!visit(Tuple::Deserialize(schema_, buf.data()))) break;
+        if (!visit(buf.data())) break;
       }
       return Status::OK();
     }

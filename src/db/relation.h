@@ -37,6 +37,8 @@ enum class AccessMethod {
 class Relation {
  public:
   using TupleVisitor = std::function<bool(const Tuple&)>;
+  /// Visitor over serialized records (schema().record_size() bytes each).
+  using RecordVisitor = std::function<bool(const uint8_t* record)>;
 
   struct Options {
     /// Bucket count for kClusteredHash; 0 sizes it for `expected_tuples`.
@@ -98,6 +100,12 @@ class Relation {
   /// order. Heap: unclustered scan through the secondary index (random data
   /// page fetches). Hash: InvalidArgument — hashing cannot serve ranges.
   Status RangeScanByKey(int64_t lo, int64_t hi, const TupleVisitor& visit) const;
+
+  /// The same scan over the serialized records, for callers that decode
+  /// only what they need. A record pointer is valid only during its visit.
+  /// RangeScanByKey is this scan plus Tuple::Deserialize.
+  Status RangeScanRecords(int64_t lo, int64_t hi,
+                          const RecordVisitor& visit) const;
 
   /// Pages occupied by data (for experiment reporting).
   size_t data_page_count() const;

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "common/random.h"
 
 namespace viewmat::db {
 
@@ -55,21 +56,15 @@ std::string Value::ToString() const {
 }
 
 uint64_t Value::Hash() const {
-  auto mix = [](uint64_t z) {
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  };
   switch (type()) {
     case ValueType::kInt64:
-      return mix(static_cast<uint64_t>(AsInt64()));
+      return SplitMix64(static_cast<uint64_t>(AsInt64()));
     case ValueType::kDouble: {
       uint64_t bits;
       const double d = AsDouble();
       static_assert(sizeof(bits) == sizeof(d));
       __builtin_memcpy(&bits, &d, sizeof(bits));
-      return mix(bits ^ 0x5851f42d4c957f2dULL);
+      return SplitMix64(bits ^ 0x5851f42d4c957f2dULL);
     }
     case ValueType::kString: {
       // FNV-1a, then mixed.
@@ -78,7 +73,7 @@ uint64_t Value::Hash() const {
         h ^= static_cast<uint8_t>(c);
         h *= 0x100000001b3ULL;
       }
-      return mix(h);
+      return SplitMix64(h);
     }
   }
   return 0;

@@ -71,7 +71,9 @@ bool DecodeStamp(const uint8_t* data, uint16_t len, Stamp* out) {
 }  // namespace
 
 uint64_t DigestMultiset(const sim::ViewMultiset& m) {
-  return sim::HashMultiset(sim::kFnvOffsetBasis, "", m);
+  sim::MultisetDigest digest;
+  for (const auto& [t, count] : m) digest.Add(t, count);
+  return digest.value();
 }
 
 void RefreshDaemon::OnMessage(NodeId from, const Message& msg) {
@@ -313,8 +315,8 @@ bool SessionServer::Execute(const Message& msg, Message* reply,
         break;
     }
   } else {  // kQuery
-    sim::ViewMultiset got;
-    if (!sim::QueryInto(driver, msg.lo, msg.hi, &got).ok()) {
+    sim::MultisetDigest digest;
+    if (!sim::DigestQuery(driver, msg.lo, msg.hi, &digest).ok()) {
       if (driver->disk()->crashed()) {
         EnterCrashed();
         return false;
@@ -322,7 +324,7 @@ bool SessionServer::Execute(const Message& msg, Message* reply,
       reply->wstatus = WireStatus::kRejected;
     } else {
       reply->wstatus = WireStatus::kOk;
-      reply->answer_digest = DigestMultiset(got);
+      reply->answer_digest = digest.value();
       reply->journal_len = journal_.size();
       reply->lo = msg.lo;
       reply->hi = msg.hi;

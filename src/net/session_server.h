@@ -17,8 +17,10 @@
 
 namespace viewmat::net {
 
-/// FNV-1a digest of a counted tuple multiset — how query answers travel on
-/// the wire (and how the chaos oracle compares them to expected answers).
+/// The sim::MultisetDigest of a counted tuple multiset — how query answers
+/// travel on the wire. The server folds each answer into the digest as the
+/// query streams; the chaos oracle digests its expected answers here, so
+/// both sides compute the same value by construction.
 uint64_t DigestMultiset(const sim::ViewMultiset& m);
 
 /// The refresher-side endpoint: acknowledges kRefreshPing so the server

@@ -78,9 +78,10 @@ struct Message {
   WireStatus wstatus = WireStatus::kOk;
   /// kReply to a committed kCommit: the transaction id the driver issued.
   uint64_t txn_id = 0;
-  /// kReply to a kQuery: FNV-1a digest of the answered multiset, and the
-  /// length of the server's applied-commit journal when the query executed
-  /// (the oracle replays that prefix to recompute the expected answer).
+  /// kReply to a kQuery: the order-independent digest of the answered
+  /// multiset (sim::MultisetDigest, see DigestMultiset), and the length of
+  /// the server's applied-commit journal when the query executed (the
+  /// oracle replays that prefix to recompute the expected answer).
   uint64_t answer_digest = 0;
   uint64_t journal_len = 0;
   /// kReply to a kQuery: answered while the refresh path was partitioned

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <string>
-#include <string_view>
 
 #include "common/logging.h"
 #include "workload/workload.h"
@@ -84,29 +82,23 @@ Status CheckGolden(StrategyDriver* driver, const ShadowOracle& shadow) {
   return Status::OK();
 }
 
-uint64_t HashMultiset(uint64_t h, const char* tag, const ViewMultiset& m) {
-  const auto mix = [&h](std::string_view s) {
-    for (const char c : s) {
-      h ^= static_cast<uint8_t>(c);
-      h *= 1099511628211ull;
-    }
-  };
-  for (const auto& [t, count] : m) {
-    mix(tag);
-    mix(t.ToString());
-    mix(":");
-    mix(std::to_string(count));
-  }
-  return h;
+Status DigestQuery(StrategyDriver* driver, int64_t lo, int64_t hi,
+                   MultisetDigest* digest) {
+  return driver->Query(lo, hi, [digest](const db::Tuple& value, int64_t count) {
+    digest->Add(value, count);
+    return true;
+  });
 }
 
 StatusOr<uint64_t> StateDigest(StrategyDriver* driver) {
   ViewMultiset base;
   VIEWMAT_RETURN_IF_ERROR(driver->VisibleBase(&base));
-  ViewMultiset view;
+  MultisetDigest base_digest(kBaseLeg);
+  for (const auto& [t, count] : base) base_digest.Add(t, count);
+  MultisetDigest view_digest(kViewLeg);
   VIEWMAT_RETURN_IF_ERROR(
-      QueryInto(driver, 0, driver->scenario()->n() - 1, &view));
-  return HashMultiset(HashMultiset(kFnvOffsetBasis, "B", base), "V", view);
+      DigestQuery(driver, 0, driver->scenario()->n() - 1, &view_digest));
+  return base_digest.value() + view_digest.value();
 }
 
 StatusOr<uint64_t> ReplayDigest(const StrategyDriver::Options& options,

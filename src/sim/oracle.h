@@ -66,15 +66,43 @@ Status RecoverWithRestarts(StrategyDriver* driver, int attempts);
 /// the visible base equals ExpectedBase. The error names the failed leg.
 Status CheckGolden(StrategyDriver* driver, const ShadowOracle& shadow);
 
-inline constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+/// An order-independent digest of a counted tuple multiset: the sum, mod
+/// 2^64, of count × SplitMix64(Tuple::Hash() ^ leg) over every (tuple,
+/// count) added. Tuple::Hash covers each value's exact bits (int64 and
+/// double) or bytes (string), so payloads that print alike still digest
+/// apart. The sum is additive in the count and ignores order, so a query
+/// answer folded in as it streams — query modification's count-1 visits or
+/// a view's counted rows — digests the same as the collected multiset.
+/// `leg` tags which multiset of a composite state a tuple belongs to.
+class MultisetDigest {
+ public:
+  explicit MultisetDigest(uint64_t leg = 0) : leg_(leg) {}
 
-/// Continues the FNV-1a hash `h` over every (tuple, count) of `m`, each
-/// rendered as tag + tuple + ":" + count.
-uint64_t HashMultiset(uint64_t h, const char* tag, const ViewMultiset& m);
+  void Add(const db::Tuple& t, int64_t count) {
+    sum_ += static_cast<uint64_t>(count) * SplitMix64(t.Hash() ^ leg_);
+  }
+  uint64_t value() const { return sum_; }
 
-/// FNV-1a digest of the driver's observable state: the visible base
-/// multiset plus the full-range view answer. Two runs ended in the same
-/// logical state iff their digests match (up to hashing).
+ private:
+  uint64_t leg_;
+  uint64_t sum_ = 0;
+};
+
+/// Runs a view query over [lo, hi] and folds its answer into `digest` as it
+/// streams, without collecting it.
+Status DigestQuery(StrategyDriver* driver, int64_t lo, int64_t hi,
+                   MultisetDigest* digest);
+
+/// StateDigest's leg tags.
+inline constexpr uint64_t kBaseLeg = 0x42415345;  // "BASE"
+inline constexpr uint64_t kViewLeg = 0x56494557;  // "VIEW"
+
+/// Digest of the driver's observable state: the MultisetDigest(kBaseLeg)
+/// of the visible base plus the MultisetDigest(kViewLeg) of the full-range
+/// view answer. The tags make a tuple digest differently in each leg, so
+/// the legs cannot stand in for each other: moving a tuple from one to the
+/// other changes the digest. Two runs ended in the same logical state iff
+/// their digests match (up to hashing).
 StatusOr<uint64_t> StateDigest(StrategyDriver* driver);
 
 /// Serial replay: builds a fresh driver from `options`, applies `txns` in

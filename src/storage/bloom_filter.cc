@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/random.h"
 
 namespace viewmat::storage {
 
@@ -30,11 +31,8 @@ BloomFilter BloomFilter::ForExpectedKeys(size_t expected_keys,
 }
 
 uint64_t BloomFilter::Mix(uint64_t x, uint64_t salt) {
-  // SplitMix64 finalizer with a salt; good avalanche on sequential keys.
-  uint64_t z = x + salt + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  // Salted SplitMix64; good avalanche on sequential keys.
+  return SplitMix64(x + salt);
 }
 
 void BloomFilter::Add(uint64_t key) {

@@ -43,26 +43,57 @@ void PageGuard::Release() {
 BufferPool::BufferPool(DiskInterface* disk, size_t capacity)
     : disk_(disk), capacity_(capacity) {
   VIEWMAT_CHECK(disk_ != nullptr);
-  VIEWMAT_CHECK(capacity_ >= 2);
+  VIEWMAT_CHECK(capacity_ >= 2 && capacity_ < kNoFrame);
   frames_.resize(capacity_);
   free_frames_.reserve(capacity_);
-  for (size_t i = capacity_; i > 0; --i) free_frames_.push_back(i - 1);
+  for (size_t i = capacity_; i > 0; --i) {
+    free_frames_.push_back(static_cast<uint32_t>(i - 1));
+  }
 }
 
-StatusOr<size_t> BufferPool::AcquireFrame() {
+void BufferPool::MapPage(PageId id, uint32_t frame) {
+  if (id >= table_.size()) table_.resize(size_t{id} + 1, kNoFrame);
+  table_[id] = frame;
+}
+
+void BufferPool::LruPushBack(uint32_t frame) {
+  Frame& fr = frames_[frame];
+  fr.lru_prev = lru_tail_;
+  fr.lru_next = kNoFrame;
+  (lru_tail_ == kNoFrame ? lru_head_ : frames_[lru_tail_].lru_next) = frame;
+  lru_tail_ = frame;
+}
+
+void BufferPool::LruPushFront(uint32_t frame) {
+  Frame& fr = frames_[frame];
+  fr.lru_prev = kNoFrame;
+  fr.lru_next = lru_head_;
+  (lru_head_ == kNoFrame ? lru_tail_ : frames_[lru_head_].lru_prev) = frame;
+  lru_head_ = frame;
+}
+
+void BufferPool::LruErase(uint32_t frame) {
+  const Frame& fr = frames_[frame];
+  (fr.lru_prev == kNoFrame ? lru_head_ : frames_[fr.lru_prev].lru_next) =
+      fr.lru_next;
+  (fr.lru_next == kNoFrame ? lru_tail_ : frames_[fr.lru_next].lru_prev) =
+      fr.lru_prev;
+}
+
+StatusOr<uint32_t> BufferPool::AcquireFrame() {
   if (!free_frames_.empty()) {
-    const size_t f = free_frames_.back();
+    const uint32_t f = free_frames_.back();
     free_frames_.pop_back();
     if (frames_[f].page == nullptr) {
       frames_[f].page = std::make_unique<Page>(disk_->page_size());
     }
     return f;
   }
-  if (lru_.empty()) {
+  if (lru_head_ == kNoFrame) {
     return Status::ResourceExhausted("all buffer frames are pinned");
   }
-  const size_t victim = lru_.front();
-  lru_.pop_front();
+  const uint32_t victim = lru_head_;
+  LruErase(victim);
   Frame& fr = frames_[victim];
   VIEWMAT_DCHECK(fr.in_use && fr.pin_count == 0);
   if (fr.dirty) {
@@ -70,18 +101,17 @@ StatusOr<size_t> BufferPool::AcquireFrame() {
     if (flushed.ok()) flushed = disk_->Write(fr.id, *fr.page);
     if (!flushed.ok()) {
       // Re-link the victim before surfacing the error: it was already
-      // popped from the LRU list, and returning with it unlinked leaves
+      // unlinked from the LRU list, and returning with it unlinked leaves
       // the frame unreachable (in_use, unpinned, on neither list) — the
       // pool then shrinks by one frame per failed flush until every
       // Fetch fails with "all buffer frames are pinned" despite zero
       // pins. The page is still intact and cached, so it goes back to
       // its old spot at the cold end of the list.
-      lru_.push_front(victim);
-      fr.lru_pos = lru_.begin();
+      LruPushFront(victim);
       return flushed;
     }
   }
-  table_.erase(fr.id);
+  table_[fr.id] = kNoFrame;
   fr.in_use = false;
   fr.dirty = false;
   return victim;
@@ -91,35 +121,33 @@ StatusOr<PageGuard> BufferPool::Fetch(PageId id) {
   if (concurrent_reads_.load(std::memory_order_acquire)) {
     // Window invariant: the table is frozen (no inserts/evictions), so the
     // lookup races with nothing; the pin count is the only mutable word.
-    auto it = table_.find(id);
-    if (it == table_.end()) {
+    const uint32_t f = FrameOf(id);
+    if (f == kNoFrame) {
       return Status::Internal("buffer miss inside a concurrent-read window");
     }
-    Frame& fr = frames_[it->second];
-    std::atomic_ref<uint32_t>(fr.pin_count)
+    std::atomic_ref<uint32_t>(frames_[f].pin_count)
         .fetch_add(1, std::memory_order_acq_rel);
-    return PageGuard(this, it->second, id);
+    return PageGuard(this, f, id);
   }
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    Frame& fr = frames_[it->second];
-    if (fr.pin_count == 0) lru_.erase(fr.lru_pos);
+  if (const uint32_t f = FrameOf(id); f != kNoFrame) {
+    Frame& fr = frames_[f];
+    if (fr.pin_count == 0) LruErase(f);
     ++fr.pin_count;
-    return PageGuard(this, it->second, id);
+    return PageGuard(this, f, id);
   }
-  VIEWMAT_ASSIGN_OR_RETURN(const size_t f, AcquireFrame());
+  VIEWMAT_ASSIGN_OR_RETURN(const uint32_t f, AcquireFrame());
   Frame& fr = frames_[f];
   VIEWMAT_RETURN_IF_ERROR(disk_->Read(id, fr.page.get()));
   fr.id = id;
   fr.pin_count = 1;
   fr.dirty = false;
   fr.in_use = true;
-  table_[id] = f;
+  MapPage(id, f);
   return PageGuard(this, f, id);
 }
 
 StatusOr<PageGuard> BufferPool::NewPage() {
-  VIEWMAT_ASSIGN_OR_RETURN(const size_t f, AcquireFrame());
+  VIEWMAT_ASSIGN_OR_RETURN(const uint32_t f, AcquireFrame());
   const PageId id = disk_->Allocate();
   Frame& fr = frames_[f];
   fr.page->Zero();
@@ -128,22 +156,21 @@ StatusOr<PageGuard> BufferPool::NewPage() {
   // A fresh page must reach the disk even if never modified again.
   fr.dirty = true;
   fr.in_use = true;
-  table_[id] = f;
+  MapPage(id, f);
   return PageGuard(this, f, id);
 }
 
 Status BufferPool::DeletePage(PageId id) {
-  auto it = table_.find(id);
-  if (it != table_.end()) {
-    Frame& fr = frames_[it->second];
+  if (const uint32_t f = FrameOf(id); f != kNoFrame) {
+    Frame& fr = frames_[f];
     if (fr.pin_count > 0) {
       return Status::FailedPrecondition("deleting a pinned page");
     }
-    lru_.erase(fr.lru_pos);
+    LruErase(f);
     fr.in_use = false;
     fr.dirty = false;
-    free_frames_.push_back(it->second);
-    table_.erase(it);
+    free_frames_.push_back(f);
+    table_[id] = kNoFrame;
   }
   return disk_->Free(id);
 }
@@ -159,10 +186,7 @@ void BufferPool::Unpin(size_t frame, PageId id) {
     return;
   }
   VIEWMAT_CHECK(fr.in_use && fr.id == id && fr.pin_count > 0);
-  if (--fr.pin_count == 0) {
-    lru_.push_back(frame);
-    fr.lru_pos = std::prev(lru_.end());
-  }
+  if (--fr.pin_count == 0) LruPushBack(static_cast<uint32_t>(frame));
 }
 
 Status BufferPool::EnforceWalRule(const Page& page) {
@@ -186,14 +210,14 @@ Status BufferPool::FlushAll() {
 }
 
 Status BufferPool::DiscardAll() {
-  for (size_t i = 0; i < frames_.size(); ++i) {
+  for (uint32_t i = 0; i < frames_.size(); ++i) {
     Frame& fr = frames_[i];
     if (!fr.in_use) continue;
     if (fr.pin_count > 0) {
       return Status::FailedPrecondition("discarding a pinned page");
     }
-    lru_.erase(fr.lru_pos);
-    table_.erase(fr.id);
+    LruErase(i);
+    table_[fr.id] = kNoFrame;
     fr.in_use = false;
     fr.dirty = false;
     free_frames_.push_back(i);
@@ -213,14 +237,14 @@ void BufferPool::SetConcurrentReads(bool on) {
 Status BufferPool::FlushAndEvictAll() {
   const ScopedComponent tag(disk_->tracker(), Component::kBufferPool);
   VIEWMAT_RETURN_IF_ERROR(FlushAll());
-  for (size_t i = 0; i < frames_.size(); ++i) {
+  for (uint32_t i = 0; i < frames_.size(); ++i) {
     Frame& fr = frames_[i];
     if (!fr.in_use) continue;
     if (fr.pin_count > 0) {
       return Status::FailedPrecondition("evicting a pinned page");
     }
-    lru_.erase(fr.lru_pos);
-    table_.erase(fr.id);
+    LruErase(i);
+    table_[fr.id] = kNoFrame;
     fr.in_use = false;
     free_frames_.push_back(i);
   }

@@ -3,9 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -53,6 +51,11 @@ class PageGuard {
 /// measured I/O counts reflect the same caching assumptions the paper's
 /// formulas make (e.g. R2 pages staying resident during a nested-loops
 /// join).
+///
+/// The bookkeeping allocates nothing per pin: the LRU list is intrusive
+/// (prev/next frame indices in each frame) and the page table is a vector
+/// indexed by PageId, which devices hand out densely. The table grows only
+/// on NewPage or a miss.
 class BufferPool {
  public:
   BufferPool(DiskInterface* disk, size_t capacity);
@@ -121,14 +124,29 @@ class BufferPool {
  private:
   friend class PageGuard;
 
+  /// "No frame": an empty page-table slot or the end of the LRU list.
+  static constexpr uint32_t kNoFrame = ~uint32_t{0};
+
   struct Frame {
     std::unique_ptr<Page> page;
     PageId id = kInvalidPageId;
     uint32_t pin_count = 0;
     bool dirty = false;
     bool in_use = false;
-    std::list<size_t>::iterator lru_pos;  // valid iff pin_count == 0 && in_use
+    // LRU links, meaningful iff the frame is on the list, which holds
+    // exactly the frames with in_use && pin_count == 0.
+    uint32_t lru_prev = kNoFrame;
+    uint32_t lru_next = kNoFrame;
   };
+
+  /// The frame holding `id`, or kNoFrame.
+  uint32_t FrameOf(PageId id) const {
+    return id < table_.size() ? table_[id] : kNoFrame;
+  }
+  void MapPage(PageId id, uint32_t frame);
+  void LruPushBack(uint32_t frame);
+  void LruPushFront(uint32_t frame);
+  void LruErase(uint32_t frame);
 
   void Unpin(size_t frame, PageId id);
   void MarkDirtyFrame(size_t frame) {
@@ -142,14 +160,15 @@ class BufferPool {
   Status EnforceWalRule(const Page& page);
   /// Finds a frame for a new resident page, evicting the LRU unpinned frame
   /// if the pool is full.
-  StatusOr<size_t> AcquireFrame();
+  StatusOr<uint32_t> AcquireFrame();
 
   DiskInterface* disk_;
   size_t capacity_;
   std::vector<Frame> frames_;
-  std::unordered_map<PageId, size_t> table_;
-  std::list<size_t> lru_;  ///< unpinned frames, least-recently-used first
-  std::vector<size_t> free_frames_;
+  std::vector<uint32_t> table_;  ///< PageId -> frame, kNoFrame if absent
+  uint32_t lru_head_ = kNoFrame;  ///< least recently used unpinned frame
+  uint32_t lru_tail_ = kNoFrame;  ///< most recently used unpinned frame
+  std::vector<uint32_t> free_frames_;
   WriteAheadLog* wal_ = nullptr;
   Lsn stamp_lsn_ = 0;
   uint64_t wal_syncs_forced_ = 0;

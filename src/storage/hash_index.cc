@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/random.h"
 
 namespace viewmat::storage {
 
@@ -19,12 +20,9 @@ HashIndex::HashIndex(BufferPool* pool, uint32_t payload_size,
 }
 
 uint32_t HashIndex::BucketFor(int64_t key) const {
-  // SplitMix64 finalizer: spreads sequential keys uniformly over buckets.
-  uint64_t z = static_cast<uint64_t>(key) + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return static_cast<uint32_t>(z % buckets_.size());
+  // SplitMix64 spreads sequential keys uniformly over buckets.
+  return static_cast<uint32_t>(SplitMix64(static_cast<uint64_t>(key)) %
+                               buckets_.size());
 }
 
 StatusOr<PageId> HashIndex::EnsurePrimary(uint32_t bucket) {

@@ -1,5 +1,9 @@
 #include "view/materialized_view.h"
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+
 #include "common/logging.h"
 
 namespace viewmat::view {
@@ -19,7 +23,8 @@ MaterializedView::MaterializedView(storage::BufferPool* pool,
                                    size_t view_key_field)
     : view_schema_(std::move(view_schema)),
       stored_schema_(WithCountColumn(view_schema_)),
-      view_key_field_(view_key_field) {
+      view_key_field_(view_key_field),
+      count_offset_(stored_schema_.offset(view_schema_.field_count())) {
   VIEWMAT_CHECK(view_key_field_ < view_schema_.field_count());
   stored_ = std::make_unique<db::Relation>(
       pool, std::move(name), stored_schema_,
@@ -33,14 +38,14 @@ db::Tuple MaterializedView::WithCount(const db::Tuple& value,
   return db::Tuple(std::move(vals));
 }
 
-db::Tuple MaterializedView::StripCount(const db::Tuple& stored,
-                                       int64_t* count) const {
-  std::vector<db::Value> vals = stored.values();
-  VIEWMAT_CHECK(!vals.empty());
-  *count = vals.back().AsInt64();
-  vals.pop_back();
-  return db::Tuple(std::move(vals));
+namespace {
+
+/// The duplicate count of a stored tuple.
+int64_t CountOf(const db::Tuple& stored) {
+  return stored.values().back().AsInt64();
 }
+
+}  // namespace
 
 StatusOr<db::Tuple> MaterializedView::FindStored(
     const db::Tuple& value) const {
@@ -49,8 +54,10 @@ StatusOr<db::Tuple> MaterializedView::FindStored(
   bool have = false;
   VIEWMAT_RETURN_IF_ERROR(
       stored_->FindAllByKey(key, [&](const db::Tuple& stored) {
-        int64_t count = 0;
-        if (StripCount(stored, &count) == value) {
+        const std::vector<db::Value>& fields = stored.values();
+        if (fields.size() == value.size() + 1 &&
+            std::equal(value.values().begin(), value.values().end(),
+                       fields.begin())) {
           found = stored;
           have = true;
           return false;
@@ -65,9 +72,8 @@ Status MaterializedView::ApplyInsert(const db::Tuple& value) {
   auto existing = FindStored(value);
   ++total_count_;
   if (existing.ok()) {
-    int64_t count = 0;
-    (void)StripCount(*existing, &count);
-    return stored_->UpdateExact(*existing, WithCount(value, count + 1));
+    return stored_->UpdateExact(*existing,
+                                WithCount(value, CountOf(*existing) + 1));
   }
   return stored_->Insert(WithCount(value, 1));
 }
@@ -79,8 +85,7 @@ Status MaterializedView::ApplyDelete(const db::Tuple& value) {
         "counting invariant violated: deleting an absent view value " +
         value.ToString());
   }
-  int64_t count = 0;
-  (void)StripCount(*existing, &count);
+  const int64_t count = CountOf(*existing);
   --total_count_;
   if (count > 1) {
     return stored_->UpdateExact(*existing, WithCount(value, count - 1));
@@ -101,19 +106,16 @@ Status MaterializedView::ApplyDelta(const std::vector<db::Tuple>& inserts,
 
 Status MaterializedView::Query(int64_t lo, int64_t hi,
                                const CountedVisitor& visit) const {
-  return stored_->RangeScanByKey(lo, hi, [&](const db::Tuple& stored) {
-    int64_t count = 0;
-    const db::Tuple value = StripCount(stored, &count);
-    return visit(value, count);
+  return stored_->RangeScanRecords(lo, hi, [&](const uint8_t* record) {
+    int64_t count;
+    std::memcpy(&count, record + count_offset_, sizeof(count));
+    return visit(db::Tuple::Deserialize(view_schema_, record), count);
   });
 }
 
 Status MaterializedView::ScanAll(const CountedVisitor& visit) const {
-  return stored_->Scan([&](const db::Tuple& stored) {
-    int64_t count = 0;
-    const db::Tuple value = StripCount(stored, &count);
-    return visit(value, count);
-  });
+  return Query(std::numeric_limits<int64_t>::min(),
+               std::numeric_limits<int64_t>::max(), visit);
 }
 
 Status MaterializedView::Clear() {

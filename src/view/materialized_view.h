@@ -21,7 +21,9 @@ namespace viewmat::view {
 /// over ∪ and −, which the differential update algorithm relies on.
 ///
 /// Storage: a clustered B+-tree on the view's key field, with the count as
-/// a hidden trailing int64 column.
+/// a hidden trailing int64 column. The stored schema is the view schema plus
+/// that column, so the view fields keep their offsets: a scan decodes each
+/// record once with the view schema and reads the count at its fixed offset.
 class MaterializedView {
  public:
   /// Visitor over distinct view values with their multiplicities.
@@ -68,7 +70,6 @@ class MaterializedView {
  private:
   /// The stored tuple = view value + trailing count column.
   db::Tuple WithCount(const db::Tuple& value, int64_t count) const;
-  db::Tuple StripCount(const db::Tuple& stored, int64_t* count) const;
 
   /// Finds the stored tuple equal to `value` on all view fields.
   StatusOr<db::Tuple> FindStored(const db::Tuple& value) const;
@@ -76,6 +77,7 @@ class MaterializedView {
   db::Schema view_schema_;
   db::Schema stored_schema_;
   size_t view_key_field_;
+  uint32_t count_offset_;  ///< byte offset of the count in a stored record
   std::unique_ptr<db::Relation> stored_;
   int64_t total_count_ = 0;
 };

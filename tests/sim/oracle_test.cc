@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "costmodel/params.h"
+#include "net/session_server.h"
 #include "workload/workload.h"
 
 namespace viewmat::sim {
@@ -160,6 +161,98 @@ TEST(ReplayDigest, MatchesTheLiveDriverItReplays) {
   const StatusOr<uint64_t> fresh = ReplayDigest(DriverOptions(), {});
   ASSERT_TRUE(fresh.ok());
   EXPECT_NE(*fresh, *want);
+}
+
+db::Tuple Row(int64_t key, double v) {
+  return db::Tuple({db::Value(key), db::Value(v)});
+}
+
+TEST(MultisetDigest, IgnoresTheOrderOfItsInputs) {
+  MultisetDigest forward, backward;
+  for (int64_t key = 0; key < 5; ++key) forward.Add(Row(key, key * 0.5), 2);
+  for (int64_t key = 4; key >= 0; --key) backward.Add(Row(key, key * 0.5), 2);
+  EXPECT_EQ(forward.value(), backward.value());
+}
+
+TEST(MultisetDigest, IsAdditiveInTheCount) {
+  MultisetDigest twice, once;
+  twice.Add(Row(1, 2.0), 1);
+  twice.Add(Row(1, 2.0), 1);
+  once.Add(Row(1, 2.0), 2);
+  EXPECT_EQ(twice.value(), once.value());
+  MultisetDigest single;
+  single.Add(Row(1, 2.0), 1);
+  EXPECT_NE(single.value(), once.value());
+}
+
+TEST(MultisetDigest, TellsApartPayloadsThatPrintAlike) {
+  // Both payloads print as 1.23457e+06 under %g.
+  EXPECT_NE(net::DigestMultiset({{Row(7, 1234567.0), 1}}),
+            net::DigestMultiset({{Row(7, 1234568.0), 1}}));
+  const StatusOr<uint64_t> low =
+      ReplayDigest(DriverOptions(), {{{0, 1234567.0}}});
+  const StatusOr<uint64_t> high =
+      ReplayDigest(DriverOptions(), {{{0, 1234568.0}}});
+  ASSERT_TRUE(low.ok() && high.ok());
+  EXPECT_NE(*low, *high);
+}
+
+TEST(MultisetDigest, StreamedQueryEqualsTheDigestOfTheCollectedAnswer) {
+  int combos = 0;
+  for (const StrategyKind kind : kAllStrategyKinds) {
+    for (const int model : {1, 2}) {
+      if (!SupportsModel(kind, model)) continue;
+      ++combos;
+      SCOPED_TRACE(std::string(StrategyKindName(kind)) + " model " +
+                   std::to_string(model));
+      StrategyDriver::Options options = DriverOptions();
+      options.kind = kind;
+      options.model = model;
+      auto driver = StrategyDriver::Create(options);
+      ASSERT_TRUE(driver.ok()) << driver.status().message();
+      ShadowOracle shadow = MakeShadow(*(*driver)->scenario());
+      Random rng(23);
+      for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(TortureUpdate(driver->get(), &shadow, &rng, /*l=*/4,
+                                  /*attempts=*/1)
+                        .committed);
+        const int64_t lo = static_cast<int64_t>(rng.Uniform(shadow.n));
+        for (const int64_t hi : {lo, lo + shadow.n / 3, shadow.n - 1}) {
+          MultisetDigest streamed;
+          ASSERT_TRUE(DigestQuery(driver->get(), lo, hi, &streamed).ok());
+          ViewMultiset collected;
+          ASSERT_TRUE(QueryInto(driver->get(), lo, hi, &collected).ok());
+          EXPECT_EQ(streamed.value(), net::DigestMultiset(collected));
+          EXPECT_EQ(collected, ExpectedRange(shadow, model, lo, hi));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(combos, 9);
+}
+
+TEST(StateDigest, IsTheSumOfItsTaggedLegs) {
+  Converged c = MakeConverged();
+  ViewMultiset base, view;
+  ASSERT_TRUE(c.driver->VisibleBase(&base).ok());
+  ASSERT_TRUE(QueryInto(c.driver.get(), 0, c.shadow.n - 1, &view).ok());
+  MultisetDigest base_leg(kBaseLeg), view_leg(kViewLeg);
+  for (const auto& [t, count] : base) base_leg.Add(t, count);
+  for (const auto& [t, count] : view) view_leg.Add(t, count);
+  const StatusOr<uint64_t> digest = StateDigest(c.driver.get());
+  ASSERT_TRUE(digest.ok());
+  EXPECT_EQ(*digest, base_leg.value() + view_leg.value());
+
+  // Moving a tuple from the base leg to the view leg changes the sum.
+  ASSERT_FALSE(base.empty());
+  const db::Tuple moved = base.begin()->first;
+  MultisetDigest base_after(kBaseLeg), view_after(kViewLeg);
+  for (const auto& [t, count] : base) {
+    base_after.Add(t, t == moved ? count - 1 : count);
+  }
+  for (const auto& [t, count] : view) view_after.Add(t, count);
+  view_after.Add(moved, 1);
+  EXPECT_NE(base_after.value() + view_after.value(), *digest);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "storage/faulty_disk.h"
 
 namespace viewmat::storage {
@@ -180,6 +183,84 @@ TEST(BufferPoolFaultTest, FailedDirtyEvictionDoesNotLeakFrames) {
     auto guard = pool.NewPage();
     ASSERT_TRUE(guard.ok()) << "leaked a frame after failed eviction " << i;
   }
+}
+
+/// Forwards to `inner` and logs each read, write and free as "r<id>",
+/// "w<id>" (with a trailing "x" when the write failed) and "f<id>".
+class RecordingDisk : public DiskInterface {
+ public:
+  explicit RecordingDisk(DiskInterface* inner) : inner_(inner) {}
+
+  uint32_t page_size() const override { return inner_->page_size(); }
+  PageId Allocate() override { return inner_->Allocate(); }
+  Status Free(PageId id) override {
+    log.push_back("f" + std::to_string(id));
+    return inner_->Free(id);
+  }
+  Status Read(PageId id, Page* out) override {
+    log.push_back("r" + std::to_string(id));
+    return inner_->Read(id, out);
+  }
+  Status Write(PageId id, const Page& in) override {
+    const Status st = inner_->Write(id, in);
+    log.push_back("w" + std::to_string(id) + (st.ok() ? "" : "x"));
+    return st;
+  }
+  size_t live_pages() const override { return inner_->live_pages(); }
+  CostTracker* tracker() override { return inner_->tracker(); }
+
+  std::vector<std::string> log;
+
+ private:
+  DiskInterface* inner_;
+};
+
+/// Pins the pool's replacement policy: a fixed script on a four-frame pool
+/// must read, write and free exactly these pages in exactly this order.
+/// Unpinning pushes a frame to the hot end, a hit unlinks it, eviction takes
+/// the cold end, a victim whose dirty write-back failed returns to the cold
+/// end, and flushes walk the frames in index order. The expected sequence
+/// was recorded from the list-and-hash-map implementation this pool
+/// replaced; the crash and fault oracles' disk-op counts depend on it.
+TEST(BufferPoolOrderTest, EvictionOrderIsPinned) {
+  CostTracker tracker;
+  SimulatedDisk base(256, &tracker);
+  FaultyDisk faulty(&base, 1);
+  RecordingDisk disk(&faulty);
+  BufferPool pool(&disk, 4);
+  const auto touch = [&](PageId id, bool dirty) {
+    auto guard = pool.Fetch(id);
+    ASSERT_TRUE(guard.ok()) << guard.status().ToString();
+    if (dirty) guard->MarkDirty();
+  };
+  // Four fresh (dirty) pages, released in order 0..3.
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(pool.NewPage().ok());
+  touch(1, false);  // hit: 1 moves to the hot end
+  auto pinned = pool.Fetch(2);
+  ASSERT_TRUE(pinned.ok());
+  ASSERT_TRUE(pool.NewPage().ok());  // page 4 evicts 0
+  touch(0, false);                   // miss: evicts 3
+  ASSERT_TRUE(pool.DeletePage(1).ok());
+  touch(3, false);  // miss into the frame page 1 left free
+  faulty.InjectWriteFault(0);
+  ASSERT_FALSE(pool.NewPage().ok());  // page 4's write-back fails
+  faulty.ClearFaults();
+  ASSERT_TRUE(pool.NewPage().ok());  // page 4 is still the coldest
+  touch(0, true);
+  pinned->Release();
+  touch(3, false);
+  ASSERT_TRUE(pool.FlushAndEvictAll().ok());
+  for (const PageId id : {2u, 0u, 1u, 3u}) touch(id, id % 2 == 0);
+  ASSERT_TRUE(pool.DiscardAll().ok());
+  for (const PageId id : {3u, 2u, 0u}) touch(id, true);
+  touch(4, false);
+  ASSERT_TRUE(pool.NewPage().ok());
+  ASSERT_TRUE(pool.FlushAll().ok());
+  const std::vector<std::string> want = {
+      "w0", "w3", "r0", "f1", "r3", "w4x", "w4",       // hits, misses, delete
+      "w1", "w2", "w0", "r2", "r0", "r1", "r3",        // flush-and-evict
+      "r3", "r2", "r0", "r4", "w3", "w0", "w2", "w5"};  // discard, flush
+  EXPECT_EQ(disk.log, want);
 }
 
 TEST_F(BufferPoolTest, MoveSemanticsTransferPin) {

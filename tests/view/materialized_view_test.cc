@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 
@@ -134,6 +137,61 @@ TEST_F(MaterializedViewTest, RandomChurnMatchesCountedOracle) {
     if (oracle[value] == 0) oracle.erase(value);
   }
   EXPECT_EQ(Contents(), oracle);
+}
+
+/// Pins what the scans yield: each stored row once, in key order (rows of
+/// one key in insertion order), with its duplicate count. The string column
+/// before the payload makes a count read from the wrong offset show.
+TEST(MaterializedViewScanTest, QueryAndScanAllYieldEachRowWithItsCount) {
+  storage::CostTracker tracker;
+  storage::SimulatedDisk disk(512, &tracker);
+  storage::BufferPool pool(&disk, 32);
+  MaterializedView view(
+      &pool, "v",
+      db::Schema({db::Field::Int64("dept"), db::Field::String("name", 6),
+                  db::Field::Double("salary")}),
+      0);
+  const auto row = [](int64_t dept, std::string name, double salary) {
+    return db::Tuple(
+        {db::Value(dept), db::Value(std::move(name)), db::Value(salary)});
+  };
+  using Rows = std::vector<std::pair<db::Tuple, int64_t>>;
+  const auto collect = [](Rows* out) {
+    return [out](const db::Tuple& t, int64_t count) {
+      out->emplace_back(t, count);
+      return true;
+    };
+  };
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(view.ApplyInsert(row(3, "carol", 1.5)).ok());
+  }
+  ASSERT_TRUE(view.ApplyInsert(row(1, "al", 2.0)).ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(view.ApplyInsert(row(3, "bo", -0.25)).ok());
+  }
+  ASSERT_TRUE(view.ApplyInsert(row(2, "bea", 7.0)).ok());
+  ASSERT_TRUE(view.ApplyInsert(row(5, "eve", 1e300)).ok());
+  ASSERT_TRUE(view.ApplyDelete(row(3, "carol", 1.5)).ok());
+  ASSERT_TRUE(view.ApplyInsert(row(2, "bea", 7.0)).ok());
+
+  Rows all;
+  ASSERT_TRUE(view.ScanAll(collect(&all)).ok());
+  EXPECT_EQ(all, (Rows{{row(1, "al", 2.0), 1},
+                       {row(2, "bea", 7.0), 2},
+                       {row(3, "carol", 1.5), 2},
+                       {row(3, "bo", -0.25), 4},
+                       {row(5, "eve", 1e300), 1}}));
+  Rows ranged;
+  ASSERT_TRUE(view.Query(2, 3, collect(&ranged)).ok());
+  EXPECT_EQ(ranged, (Rows{{row(2, "bea", 7.0), 2},
+                          {row(3, "carol", 1.5), 2},
+                          {row(3, "bo", -0.25), 4}}));
+  Rows first_only;
+  ASSERT_TRUE(view.Query(0, 9, [&](const db::Tuple& t, int64_t count) {
+    first_only.emplace_back(t, count);
+    return false;
+  }).ok());
+  EXPECT_EQ(first_only, (Rows{{row(1, "al", 2.0), 1}}));
 }
 
 }  // namespace
