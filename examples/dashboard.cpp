@@ -2,24 +2,26 @@
 //  - a DeferredViewGroup keeps several selection views over one orders
 //    table behind a single shared AD differential (§4's multi-view
 //    refresh optimization), and
-//  - a MaterializedGroupAggregate maintains revenue-per-region
-//    (GROUP BY, the Model 3 generalization), fed from the same
-//    transaction stream.
+//  - a MaterializedAggregate keeps revenue per region (a GROUP BY
+//    aggregate, Model 3 with one state per group) on one state page, fed
+//    from the same transaction stream.
 // Sales transactions stream in; redrawing the dashboard costs one shared
-// fold plus a handful of aggregate lookups instead of any base-table
-// scans. The view group owns applying transactions to the base (it defers
-// them in its differential); the aggregate consumes the same net changes
-// directly.
+// fold plus one read of the revenue page instead of any base-table scans.
+// The view group owns applying transactions to the base (it defers them in
+// its differential); the aggregate consumes the same net changes directly.
+// The program exits nonzero if any library call fails.
 
 #include <cstdio>
 #include <string>
 
+#include "check.h"
 #include "common/random.h"
 #include "db/catalog.h"
-#include "view/group_aggregate.h"
+#include "view/aggregate.h"
 #include "view/view_group.h"
 
 using namespace viewmat;
+using viewmat::examples::Check;
 
 namespace {
 
@@ -42,13 +44,13 @@ int main() {
 
   db::Schema schema({db::Field::Int64("id"), db::Field::Int64("region"),
                      db::Field::Double("amount")});
-  db::Relation* orders = *catalog.CreateRelation(
-      "orders", schema, db::AccessMethod::kClusteredBTree, 0);
+  db::Relation* orders = Check(catalog.CreateRelation(
+      "orders", schema, db::AccessMethod::kClusteredBTree, 0));
   std::vector<double> amounts(kOrders);
   Random rng(7);
   for (int64_t id = 0; id < kOrders; ++id) {
     amounts[id] = 10.0 + rng.NextDouble() * 490.0;
-    (void)orders->Insert(Order(id, id % kRegions, amounts[id]));
+    Check(orders->Insert(Order(id, id % kRegions, amounts[id])));
   }
 
   // Panel views sharing one differential: "recent orders" and "backlog".
@@ -59,48 +61,53 @@ int main() {
                                             db::Value(kOrders - 200));
   recent.projection = {0, 2};
   recent.view_key_field = 0;
-  const size_t kRecent = *panels.AddView(recent);
+  const size_t kRecent = Check(panels.AddView(recent));
   view::SelectProjectDef backlog;
   backlog.base = orders;
   backlog.predicate = db::Predicate::Compare(0, db::CompareOp::kLt,
                                              db::Value(int64_t{100}));
   backlog.projection = {0, 2};
   backlog.view_key_field = 0;
-  const size_t kBacklog = *panels.AddView(backlog);
+  const size_t kBacklog = Check(panels.AddView(backlog));
 
   // Revenue per region: sum(amount) group by region, maintained with the
-  // per-group transition functions.
-  view::MaterializedGroupAggregate by_region(&pool, view::AggregateOp::kSum);
-  for (int64_t id = 0; id < kOrders; ++id) {
-    (void)by_region.ApplyInsert(id % kRegions, amounts[id]);
-  }
+  // per-group transition functions and written through to its page.
+  view::AggregateDef revenue;
+  revenue.base = orders;
+  revenue.predicate = db::Predicate::True();
+  revenue.op = view::AggregateOp::kSum;
+  revenue.agg_field = 2;
+  revenue.group_field = 1;
+  Check(revenue.Validate());
+  view::MaterializedAggregate by_region(revenue);
+  view::AggregateGroups regions;
+  Check(view::ComputeAggregateFromBase(revenue, nullptr, &regions));
+  Check(by_region.Write(regions));
 
   auto redraw = [&](int frame) {
     std::printf("======= sales dashboard, frame %d (shared folds so far: "
                 "%llu) =======\n",
                 frame, static_cast<unsigned long long>(panels.fold_count()));
     std::printf("revenue by region:\n");
-    (void)by_region.Scan([&](int64_t region,
-                             const view::AggregateState& state) {
-      auto v = state.Current();
+    Check(by_region.Read(&regions));
+    for (const auto& [region, state] : regions) {
       std::printf("  %-8s %12.2f\n", kRegionNames[region % kRegions],
-                  v.ok() ? v->AsDouble() : 0.0);
-      return true;
-    });
+                  Check(state.Current()).AsDouble());
+    }
     double recent_total = 0;
     size_t recent_count = 0;
-    (void)panels.Query(kRecent, 0, 1 << 30,
+    Check(panels.Query(kRecent, 0, 1 << 30,
                        [&](const db::Tuple& t, int64_t) {
                          recent_total += t.at(1).AsDouble();
                          ++recent_count;
                          return true;
-                       });
+                       }));
     size_t backlog_count = 0;
-    (void)panels.Query(kBacklog, 0, 1 << 30,
+    Check(panels.Query(kBacklog, 0, 1 << 30,
                        [&](const db::Tuple&, int64_t) {
                          ++backlog_count;
                          return true;
-                       });
+                       }));
     std::printf("recent orders: %zu totaling %.2f | backlog rows: %zu\n\n",
                 recent_count, recent_total, backlog_count);
   };
@@ -117,18 +124,16 @@ int main() {
       db::Transaction txn;
       txn.Update(orders, Order(id, id % kRegions, old_amount),
                  Order(id, id % kRegions, amounts[id]));
-      (void)panels.OnTransaction(txn);  // owns the base application (deferred)
-      bool needs_recompute = false;
-      (void)by_region.ApplyDelete(id % kRegions, old_amount,
-                                  &needs_recompute);
-      (void)by_region.ApplyInsert(id % kRegions, amounts[id]);
+      Check(panels.OnTransaction(txn));  // owns the base application (deferred)
+      view::AggregateState& state = regions.at(id % kRegions);
+      state.ApplyDelete(old_amount);  // a sum never loses exactness
+      state.ApplyInsert(amounts[id]);
+      Check(by_region.Write(regions));
     }
     redraw(frame);
   }
-  std::printf("total metered dashboard cost: %.0f model-ms across %llu "
-              "group rows and %zu panel views\n",
-              tracker.TotalMs(),
-              static_cast<unsigned long long>(by_region.group_count()),
-              panels.view_count());
+  std::printf("total metered dashboard cost: %.0f model-ms across %zu "
+              "groups and %zu panel views\n",
+              tracker.TotalMs(), regions.size(), panels.view_count());
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 
+#include "check.h"
 #include "common/random.h"
 #include "db/catalog.h"
 #include "hr/ad_file.h"
@@ -18,6 +19,7 @@
 #include "view/deferred.h"
 
 using namespace viewmat;
+using viewmat::examples::Check;
 
 namespace {
 
@@ -35,13 +37,13 @@ int main() {
 
   db::Schema schema({db::Field::Int64("sku"), db::Field::Int64("stock"),
                      db::Field::Double("price")});
-  db::Relation* inventory = *catalog.CreateRelation(
-      "inventory", schema, db::AccessMethod::kClusteredBTree, 0);
+  db::Relation* inventory = Check(catalog.CreateRelation(
+      "inventory", schema, db::AccessMethod::kClusteredBTree, 0));
 
   std::vector<int64_t> stock(200);
   for (int64_t sku = 0; sku < 200; ++sku) {
     stock[sku] = 50 + (sku * 13) % 40;
-    (void)inventory->Insert(Item(sku, stock[sku], 9.99 + sku));
+    Check(inventory->Insert(Item(sku, stock[sku], 9.99 + sku)));
   }
 
   // The window: "watch SKUs 0..19" (the hot shelf).
@@ -53,7 +55,7 @@ int main() {
   def.view_key_field = 0;
 
   view::DeferredStrategy window(def, hr::AdFile::Options{}, &tracker);
-  (void)window.InitializeFromBase();
+  Check(window.InitializeFromBase());
 
   auto redraw = [&](int frame) {
     std::printf("┌─ inventory window — frame %d (refresh #%llu, %llu "
@@ -61,14 +63,14 @@ int main() {
                 frame,
                 static_cast<unsigned long long>(window.refresh_count() + 1),
                 static_cast<unsigned long long>(window.pending_tuples()));
-    (void)window.Query(0, 7, [](const db::Tuple& t, int64_t) {
+    Check(window.Query(0, 7, [](const db::Tuple& t, int64_t) {
       const int64_t units = t.at(1).AsInt64();
       std::string bar(static_cast<size_t>(units / 4), '#');
       std::printf("│ sku %-3lld %-22s %3lld units %s\n",
                   static_cast<long long>(t.at(0).AsInt64()), bar.c_str(),
                   static_cast<long long>(units), units < 30 ? "LOW!" : "");
       return true;
-    });
+    }));
     std::printf("└──────────────────────────────────────────────┘\n\n");
   };
 
@@ -84,7 +86,7 @@ int main() {
                Item(sku, std::max<int64_t>(stock[sku] - sold, 0),
                     9.99 + sku));
       stock[sku] = std::max<int64_t>(stock[sku] - sold, 0);
-      (void)window.OnTransaction(t);
+      Check(window.OnTransaction(t));
     }
     redraw(frame);
   }

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <string>
 
+#include "check.h"
 #include "costmodel/model2.h"
 #include "db/catalog.h"
 #include "hr/ad_file.h"
@@ -18,6 +19,7 @@
 #include "view/query_modification.h"
 
 using namespace viewmat;
+using viewmat::examples::Check;
 
 namespace {
 
@@ -54,18 +56,18 @@ int main() {
                          db::Field::String("name", 20)});
   db::Schema dept_schema(
       {db::Field::Int64("dno"), db::Field::String("dname", 20)});
-  db::Relation* emp = *catalog.CreateRelation(
-      "employee", emp_schema, db::AccessMethod::kClusteredBTree, 0);
-  db::Relation* dept = *catalog.CreateRelation(
-      "department", dept_schema, db::AccessMethod::kClusteredHash, 0);
+  db::Relation* emp = Check(catalog.CreateRelation(
+      "employee", emp_schema, db::AccessMethod::kClusteredBTree, 0));
+  db::Relation* dept = Check(catalog.CreateRelation(
+      "department", dept_schema, db::AccessMethod::kClusteredHash, 0));
 
   constexpr int64_t kEmployees = 5000;
   constexpr int64_t kDepartments = 50;
   for (int64_t d = 0; d < kDepartments; ++d) {
-    (void)dept->Insert(Dept(d, "dept-" + std::to_string(d)));
+    Check(dept->Insert(Dept(d, "dept-" + std::to_string(d))));
   }
   for (int64_t e = 0; e < kEmployees; ++e) {
-    (void)emp->Insert(Emp(e, e % kDepartments, 50000.0 + e));
+    Check(emp->Insert(Emp(e, e % kDepartments, 50000.0 + e)));
   }
 
   // EMP-DEPT view: every employee joined to their department.
@@ -81,7 +83,7 @@ int main() {
   std::vector<double> salary(kEmployees);
   for (int64_t e = 0; e < kEmployees; ++e) salary[e] = 50000.0 + e;
   auto run_scenario = [&](const char* label, view::ViewStrategy* strategy) {
-    (void)pool.FlushAndEvictAll();
+    Check(pool.FlushAndEvictAll());
     tracker.Reset();
     // 40 single-employee raises interleaved with 10 single-record lookups
     // (P = 0.8: update-heavy, the regime where materialization loses).
@@ -92,13 +94,13 @@ int main() {
         txn.Update(emp, Emp(eno, eno % kDepartments, salary[eno]),
                    Emp(eno, eno % kDepartments, salary[eno] + 100.0));
         salary[eno] += 100.0;
-        (void)strategy->OnTransaction(txn);
-        (void)pool.FlushAndEvictAll();  // commit boundary
+        Check(strategy->OnTransaction(txn));
+        Check(pool.FlushAndEvictAll());  // commit boundary
       }
       const int64_t probe = (round * 997) % kEmployees;
-      (void)strategy->Query(probe, probe,
-                            [](const db::Tuple&, int64_t) { return true; });
-      (void)pool.FlushAndEvictAll();
+      Check(strategy->Query(probe, probe,
+                            [](const db::Tuple&, int64_t) { return true; }));
+      Check(pool.FlushAndEvictAll());
     }
     std::printf("  %-22s %8.0f model-ms for 40 updates + 10 lookups\n",
                 label, tracker.TotalMs());
@@ -110,7 +112,7 @@ int main() {
   run_scenario("query modification", &qm);
 
   view::ImmediateStrategy immediate(def, &tracker);
-  (void)immediate.InitializeFromBase();
+  Check(immediate.InitializeFromBase());
   run_scenario("immediate maintenance", &immediate);
 
   std::printf(

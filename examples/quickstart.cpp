@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "check.h"
 #include "db/catalog.h"
 #include "db/predicate.h"
 #include "hr/ad_file.h"
@@ -18,6 +19,7 @@
 #include "view/query_modification.h"
 
 using namespace viewmat;
+using viewmat::examples::Check;
 
 namespace {
 
@@ -29,17 +31,17 @@ void RunQueries(const char* label, view::ViewStrategy* strategy,
                 storage::BufferPool* pool, storage::CostTracker* tracker) {
   // Start cold so the metered cost reflects real I/O, then flush so pending
   // writes are charged to this phase.
-  (void)pool->FlushAndEvictAll();
+  Check(pool->FlushAndEvictAll());
   const storage::CostCounters before = tracker->counters();
   std::printf("--- %s ---\n", label);
   // "Balances of accounts 0..9 at the watched branches."
-  (void)strategy->Query(0, 9, [](const db::Tuple& t, int64_t count) {
+  Check(strategy->Query(0, 9, [](const db::Tuple& t, int64_t count) {
     std::printf("  account %lld -> balance %.2f (x%lld)\n",
                 static_cast<long long>(t.at(0).AsInt64()),
                 t.at(1).AsDouble(), static_cast<long long>(count));
     return true;
-  });
-  (void)pool->FlushAll();
+  }));
+  Check(pool->FlushAll());
   std::printf("  [query cost: %.0f model-ms]\n\n",
               tracker->Ms(tracker->counters() - before));
 }
@@ -57,10 +59,10 @@ int main() {
   db::Schema schema({db::Field::Int64("id"), db::Field::Int64("branch"),
                      db::Field::Double("balance")});
   db::Relation* accounts =
-      *catalog.CreateRelation("accounts", schema,
-                              db::AccessMethod::kClusteredBTree, 0);
+      Check(catalog.CreateRelation("accounts", schema,
+                                   db::AccessMethod::kClusteredBTree, 0));
   for (int64_t id = 0; id < 1000; ++id) {
-    (void)accounts->Insert(AccountRow(id, id % 10, 100.0 + id));
+    Check(accounts->Insert(AccountRow(id, id % 10, 100.0 + id)));
   }
 
   // View: balances of low-numbered accounts —
@@ -82,19 +84,19 @@ int main() {
              &tracker);
 
   view::ImmediateStrategy immediate(def, &tracker);
-  (void)immediate.InitializeFromBase();
+  Check(immediate.InitializeFromBase());
   // A transaction: account 3 receives a deposit.
   db::Transaction txn;
   txn.Update(accounts, AccountRow(3, 3, 103.0), AccountRow(3, 3, 1000.0));
-  (void)immediate.OnTransaction(txn);
+  Check(immediate.OnTransaction(txn));
   RunQueries("immediate maintenance (refreshed at commit)", &immediate,
              &pool, &tracker);
 
   view::DeferredStrategy deferred(def, hr::AdFile::Options{}, &tracker);
-  (void)deferred.InitializeFromBase();
+  Check(deferred.InitializeFromBase());
   db::Transaction txn2;
   txn2.Update(accounts, AccountRow(7, 7, 107.0), AccountRow(7, 7, 7777.0));
-  (void)deferred.OnTransaction(txn2);
+  Check(deferred.OnTransaction(txn2));
   std::printf("deferred has %llu pending differential tuples before the "
               "query triggers its refresh\n\n",
               static_cast<unsigned long long>(deferred.pending_tuples()));

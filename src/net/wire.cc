@@ -83,6 +83,11 @@ StatusOr<Message> Message::Decode(const uint8_t* data, size_t len) {
                                    std::to_string(type));
   }
   msg.type = static_cast<MsgType>(type);
+  // Each victim takes 16 bytes: a count the remaining bytes cannot hold is
+  // corrupt, and reserving it could ask for gigabytes.
+  if (nvictims > (len - off) / 16) {
+    return Status::InvalidArgument("wire message truncated in victim list");
+  }
   msg.victims.reserve(nvictims);
   for (uint32_t i = 0; i < nvictims; ++i) {
     int64_t key = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -153,10 +154,11 @@ StatusOr<db::Relation*> LoadRelations(int model, db::AccessMethod method,
 }
 
 /// Fills a materializing strategy's stored copy from the loaded base.
-template <typename Base, typename S>
-StatusOr<std::unique_ptr<Base>> Initialized(std::unique_ptr<S> strategy) {
+template <typename S>
+StatusOr<std::unique_ptr<view::ViewStrategy>> Initialized(
+    std::unique_ptr<S> strategy) {
   VIEWMAT_RETURN_IF_ERROR(strategy->InitializeFromBase());
-  return std::unique_ptr<Base>(std::move(strategy));
+  return std::unique_ptr<view::ViewStrategy>(std::move(strategy));
 }
 
 /// Contender `which` over a tuple view: Model 1's select-project or
@@ -167,13 +169,11 @@ StatusOr<std::unique_ptr<view::ViewStrategy>> BuildTupleStrategy(
     storage::CostTracker* tracker) {
   using Owned = std::unique_ptr<view::ViewStrategy>;
   if (which == Strategy::kDeferred) {
-    return Initialized<view::ViewStrategy>(
-        std::make_unique<view::DeferredStrategy>(def, AdOptionsFor(params),
-                                                 tracker));
+    return Initialized(std::make_unique<view::DeferredStrategy>(
+        def, AdOptionsFor(params), tracker));
   }
   if (which == Strategy::kImmediate) {
-    return Initialized<view::ViewStrategy>(
-        std::make_unique<view::ImmediateStrategy>(def, tracker));
+    return Initialized(std::make_unique<view::ImmediateStrategy>(def, tracker));
   }
   if constexpr (std::is_same_v<Def, view::JoinDef>) {
     return Owned(std::make_unique<view::QmJoinStrategy>(def, tracker));
@@ -185,22 +185,19 @@ StatusOr<std::unique_ptr<view::ViewStrategy>> BuildTupleStrategy(
 }
 
 /// Contender `which` over Model 3's aggregate.
-StatusOr<std::unique_ptr<view::AggregateStrategy>> BuildAggregateStrategy(
+StatusOr<std::unique_ptr<view::ViewStrategy>> BuildAggregateStrategy(
     Strategy which, const view::AggregateDef& def, const Params& params,
-    Instance* inst) {
+    storage::CostTracker* tracker) {
   if (which == Strategy::kDeferred) {
-    return Initialized<view::AggregateStrategy>(
-        std::make_unique<view::DeferredAggregateStrategy>(
-            def, AdOptionsFor(params), &inst->disk, &inst->tracker));
+    return Initialized(std::make_unique<view::DeferredAggregateStrategy>(
+        def, AdOptionsFor(params), tracker));
   }
   if (which == Strategy::kImmediate) {
-    return Initialized<view::AggregateStrategy>(
-        std::make_unique<view::ImmediateAggregateStrategy>(def, &inst->disk,
-                                                           &inst->tracker));
+    return Initialized(
+        std::make_unique<view::ImmediateAggregateStrategy>(def, tracker));
   }
-  return std::unique_ptr<view::AggregateStrategy>(
-      std::make_unique<view::RecomputeAggregateStrategy>(def,
-                                                         &inst->tracker));
+  return std::unique_ptr<view::ViewStrategy>(
+      std::make_unique<view::RecomputeAggregateStrategy>(def, tracker));
 }
 
 /// The run loop: drives the scenario's op sequence through one engine,
@@ -353,23 +350,23 @@ StatusOr<SimResult> Simulate(int model, const Params& params,
     VIEWMAT_ASSIGN_OR_RETURN(
         db::Relation * base,
         LoadRelations(model, contender.base_method, &scenario, &inst, &r2));
-    std::unique_ptr<view::ViewStrategy> tuple;
-    std::unique_ptr<view::AggregateStrategy> aggregate;
+    std::unique_ptr<view::ViewStrategy> strategy;
     if (model == 1) {
       VIEWMAT_ASSIGN_OR_RETURN(
-          tuple, BuildTupleStrategy(contender.strategy,
-                                    MakeSpDef(&scenario, base), params,
-                                    &inst.tracker));
+          strategy, BuildTupleStrategy(contender.strategy,
+                                       MakeSpDef(&scenario, base), params,
+                                       &inst.tracker));
     } else if (model == 2) {
       VIEWMAT_ASSIGN_OR_RETURN(
-          tuple, BuildTupleStrategy(contender.strategy,
-                                    MakeJoinDef(&scenario, base, r2), params,
-                                    &inst.tracker));
+          strategy, BuildTupleStrategy(contender.strategy,
+                                       MakeJoinDef(&scenario, base, r2),
+                                       params, &inst.tracker));
     } else {
       VIEWMAT_ASSIGN_OR_RETURN(
-          aggregate,
+          strategy,
           BuildAggregateStrategy(contender.strategy,
-                                 MakeAggDef(&scenario, base), params, &inst));
+                                 MakeAggDef(&scenario, base), params,
+                                 &inst.tracker));
     }
 
     StrategyRun run;
@@ -377,18 +374,19 @@ StatusOr<SimResult> Simulate(int model, const Params& params,
     VIEWMAT_RETURN_IF_ERROR(RunOps(
         options, &scenario, &inst, base,
         [&](const db::Transaction& txn) {
-          return tuple != nullptr ? tuple->OnTransaction(txn)
-                                  : aggregate->OnTransaction(txn);
+          return strategy->OnTransaction(txn);
         },
         [&]() -> Status {
-          if (aggregate != nullptr) {
-            // The aggregate has no range: Model 3 draws none.
-            db::Value value;
-            return aggregate->QueryValue(&value);
+          const auto ignore = [](const db::Tuple&, int64_t) { return true; };
+          if (model == 3) {
+            // The aggregate has no range: Model 3 draws none and reads its
+            // one group.
+            return strategy->Query(std::numeric_limits<int64_t>::min(),
+                                   std::numeric_limits<int64_t>::max(),
+                                   ignore);
           }
           const Scenario::QueryRange range = scenario.NextQueryRange();
-          return tuple->Query(range.lo, range.hi,
-                              [](const db::Tuple&, int64_t) { return true; });
+          return strategy->Query(range.lo, range.hi, ignore);
         },
         &run));
     run.adjusted_ms_per_query =

@@ -137,7 +137,12 @@ StatusOr<PageGuard> BufferPool::Fetch(PageId id) {
   }
   VIEWMAT_ASSIGN_OR_RETURN(const uint32_t f, AcquireFrame());
   Frame& fr = frames_[f];
-  VIEWMAT_RETURN_IF_ERROR(disk_->Read(id, fr.page.get()));
+  if (Status read = disk_->Read(id, fr.page.get()); !read.ok()) {
+    // The frame holds no page: hand it back, or each failed read would
+    // shrink the pool by one frame.
+    free_frames_.push_back(f);
+    return read;
+  }
   fr.id = id;
   fr.pin_count = 1;
   fr.dirty = false;

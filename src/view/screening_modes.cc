@@ -44,6 +44,8 @@ std::set<size_t> FieldsRead(const JoinDef& def) {
 std::set<size_t> FieldsRead(const AggregateDef& def) {
   std::set<size_t> fields;
   fields.insert(def.agg_field);
+  // Moving a row between groups changes the view.
+  if (def.group_field) fields.insert(*def.group_field);
   for (size_t i = 0; i < def.base->schema().field_count(); ++i) {
     if (!def.predicate->ImpliedRange(i).Unbounded()) fields.insert(i);
   }

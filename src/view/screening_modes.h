@@ -32,7 +32,7 @@ enum class ScreeningMode {
 const char* ScreeningModeName(ScreeningMode mode);
 
 /// The set of base-schema field indices a view definition reads (predicate
-/// fields plus projected/joined/aggregated fields) — what the RIU
+/// fields plus projected/joined/aggregated/grouping fields) — what the RIU
 /// compile-time check compares against a command's written fields.
 std::set<size_t> FieldsRead(const SelectProjectDef& def);
 std::set<size_t> FieldsRead(const JoinDef& def);     ///< fields of R1

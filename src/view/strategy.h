@@ -12,12 +12,15 @@
 
 namespace viewmat::view {
 
-/// A view materialization strategy for tuple-producing views (Models 1 and
-/// 2): the engine observes every committed update transaction and answers
-/// view queries. Implementations differ in *when* work happens —
-/// query modification does it all at query time, immediate at transaction
-/// time, deferred just before the query — but must all return the same
-/// answer for the same history (tested as the equivalence property).
+/// A view materialization strategy for the paper's three models: the
+/// engine observes every committed update transaction and answers view
+/// queries. Models 1 and 2 answer with the view's tuples; an aggregate view
+/// (Model 3, view/aggregate.h) answers with one (group, value) tuple per
+/// group. Implementations differ in *when* work happens — query
+/// modification and recompute do it all at query time, immediate at
+/// transaction time, deferred just before the query — but must all return
+/// the same answer for the same history (tested as the equivalence
+/// property).
 ///
 /// The engine owns applying the transaction to the base relations (directly
 /// or through a hypothetical relation), so a workload is driven through
@@ -136,21 +139,6 @@ class ViewStrategy {
         std::string("no recovery manager attached to the ") + name() +
         " strategy");
   }
-};
-
-/// Strategy interface for aggregate views (Model 3): a query returns the
-/// single aggregate value.
-class AggregateStrategy {
- public:
-  virtual ~AggregateStrategy() = default;
-
-  virtual Status OnTransaction(const db::Transaction& txn) = 0;
-
-  /// Current aggregate value. NotFound when the aggregated set is empty and
-  /// the op has no identity (min/max).
-  virtual Status QueryValue(db::Value* out) = 0;
-
-  virtual const char* name() const = 0;
 };
 
 }  // namespace viewmat::view

@@ -91,6 +91,14 @@ const char* AggregateOpName(AggregateOp op) {
   return "?";
 }
 
+int64_t AggregateDef::GroupOf(const db::Tuple& t) const {
+  return group_field ? t.at(*group_field).AsInt64() : 0;
+}
+
+double AggregateDef::ValueOf(const db::Tuple& t) const {
+  return op == AggregateOp::kCount ? 1.0 : t.at(agg_field).Numeric();
+}
+
 Status AggregateDef::Validate() const {
   if (base == nullptr) return Status::InvalidArgument("base relation unset");
   if (predicate == nullptr) return Status::InvalidArgument("predicate unset");
@@ -100,6 +108,11 @@ Status AggregateDef::Validate() const {
   const db::ValueType t = base->schema().field(agg_field).type;
   if (t == db::ValueType::kString && op != AggregateOp::kCount) {
     return Status::InvalidArgument("cannot aggregate a string field");
+  }
+  if (group_field && (*group_field >= base->schema().field_count() ||
+                      base->schema().field(*group_field).type !=
+                          db::ValueType::kInt64)) {
+    return Status::InvalidArgument("group field must be an int64 column");
   }
   return Status::OK();
 }

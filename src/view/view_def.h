@@ -1,6 +1,7 @@
 #ifndef VIEWMAT_VIEW_VIEW_DEF_H_
 #define VIEWMAT_VIEW_VIEW_DEF_H_
 
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -64,13 +65,28 @@ enum class AggregateOp { kCount, kSum, kAvg, kMin, kMax };
 
 const char* AggregateOpName(AggregateOp op);
 
-/// Model 3 view: an aggregate over a Model-1-style selection. Only the
-/// aggregate's state is materialized (one page), never the selected tuples.
+/// Model 3 view: an aggregate over a Model-1-style selection, optionally
+/// grouped by an int64 column, e.g.
+///
+///   define view dept_payroll (dept, sum(salary))
+///   where emp.active = 1 group by emp.dept
+///
+/// Only the aggregate states are materialized (one page holding every
+/// group), never the selected tuples. The paper's single aggregate is the
+/// ungrouped case: one group, key 0.
 struct AggregateDef {
   db::Relation* base = nullptr;
   db::PredicateRef predicate;  ///< selectivity-f predicate over base
   AggregateOp op = AggregateOp::kSum;
   size_t agg_field = 0;        ///< base-schema field being aggregated
+  std::optional<size_t> group_field;  ///< GROUP BY column; unset = one group
+
+  /// The group a base tuple falls in: its group column, or 0 when ungrouped.
+  int64_t GroupOf(const db::Tuple& t) const;
+
+  /// The value a base tuple contributes: 1 for count, else the aggregated
+  /// field.
+  double ValueOf(const db::Tuple& t) const;
 
   Status Validate() const;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "net/wire.h"
@@ -79,6 +80,16 @@ TEST(WireTest, DecodeRejectsTrailingBytesAndBadEnums) {
   std::vector<uint8_t> bad_type = frame;
   bad_type[0] = 200;
   EXPECT_FALSE(Message::Decode(bad_type.data(), bad_type.size()).ok());
+}
+
+TEST(WireTest, DecodeRejectsVictimCountBeyondPayload) {
+  std::vector<uint8_t> frame = Commit(1, 2).Encode();
+  // The count word follows type (1), session (8), seq (8) and attempt (4).
+  const uint32_t huge = 0xFFFFFFF0u;
+  std::memcpy(frame.data() + 21, &huge, sizeof(huge));
+  const auto decoded = Message::Decode(frame.data(), frame.size());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(NetworkTest, DeliversInTimeOrderWithSeededLatency) {

@@ -185,6 +185,34 @@ TEST(BufferPoolFaultTest, FailedDirtyEvictionDoesNotLeakFrames) {
   }
 }
 
+/// A miss whose disk read fails used to strand the frame it had acquired
+/// (on neither the free list nor the LRU list), so each read fault shrank
+/// the pool by one frame.
+TEST(BufferPoolFaultTest, FailedReadDoesNotLeakFrames) {
+  CostTracker tracker;
+  SimulatedDisk base(256, &tracker);
+  FaultyDisk disk(&base, 1);
+  BufferPool pool(&disk, 4);
+  std::vector<PageId> pages;
+  for (int i = 0; i < 8; ++i) pages.push_back(disk.Allocate());
+  // Every fetch below is a miss; fail its read more times than the pool
+  // has frames.
+  for (int i = 0; i < 8; ++i) {
+    disk.InjectReadFault(0);
+    auto guard = pool.Fetch(pages[i]);
+    ASSERT_FALSE(guard.ok());
+    EXPECT_EQ(guard.status().code(), StatusCode::kInternal);
+  }
+  disk.ClearFaults();
+  // A frame's worth of healthy misses held at once: each needs a frame.
+  std::vector<PageGuard> held;
+  for (int i = 0; i < 4; ++i) {
+    auto guard = pool.Fetch(pages[i]);
+    ASSERT_TRUE(guard.ok()) << "leaked a frame after failed read " << i;
+    held.push_back(std::move(*guard));
+  }
+}
+
 /// Forwards to `inner` and logs each read, write and free as "r<id>",
 /// "w<id>" (with a trailing "x" when the write failed) and "f<id>".
 class RecordingDisk : public DiskInterface {
