@@ -3,9 +3,12 @@
 # full-mode bench reports into build/, and compares each one with its
 # committed BENCH_<x>.json as parsed JSON, ignoring only the `build` and
 # `execution` blocks: every counter, phase attribution, span and timeline
-# window must match, and the first differing path is printed. bench_diff's
-# zero-threshold summary is printed alongside for reading; it compares only
-# the cost metrics and table cells, so it does not decide the verdict.
+# window must match. On a difference it prints the first differing path,
+# then the regeneration's scope: one line per differing table row (title
+# and x), run (name) or note key, with its count of differing leaves.
+# bench_diff's zero-threshold summary is printed alongside for reading; it
+# compares only the cost metrics and table cells, so it does not decide
+# the verdict.
 # check.sh's 5% regression gate is the looser, everyday check.
 #
 # Usage: scripts/sameness.sh
@@ -29,26 +32,45 @@ import json
 import sys
 
 
-def first_difference(a, b, path):
+def differences(a, b, path):
+    """Yields (path, note) for every differing leaf, in document order."""
     if type(a) is not type(b):
-        return path
-    if isinstance(a, dict):
+        yield path, ""
+    elif isinstance(a, dict):
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:
-                return f"{path}.{key}"
-            found = first_difference(a[key], b[key], f"{path}.{key}")
-            if found:
-                return found
-        return None
-    if isinstance(a, list):
+                yield path + [key], ""
+            else:
+                yield from differences(a[key], b[key], path + [key])
+    elif isinstance(a, list):
         if len(a) != len(b):
-            return f"{path} (length {len(a)} vs {len(b)})"
-        for i, (x, y) in enumerate(zip(a, b)):
-            found = first_difference(x, y, f"{path}[{i}]")
-            if found:
-                return found
-        return None
-    return None if a == b else path
+            yield path, f" (length {len(a)} vs {len(b)})"
+        else:
+            for i, (x, y) in enumerate(zip(a, b)):
+                yield from differences(x, y, path + [i])
+    elif a != b:
+        yield path, ""
+
+
+def render(path):
+    return "$" + "".join(f"[{t}]" if isinstance(t, int) else f".{t}"
+                         for t in path)
+
+
+def scope(report, path):
+    """The table row, run or note a differing leaf belongs to."""
+    try:
+        if path[0] == "tables" and path[2] == "rows":
+            table = report["tables"][path[1]]
+            return f"table '{table['title']}' x={table['rows'][path[3]]['x']:g}"
+        if path[0] == "sim_results" and path[2] == "runs":
+            run = report["sim_results"][path[1]]["runs"][path[3]]
+            return f"run '{run['name']}' (sim_results[{path[1]}])"
+        if path[0] == "notes":
+            return f"note '{path[1]}'"
+    except (IndexError, KeyError, TypeError):
+        pass
+    return render(path[:2])
 
 
 def load(path):
@@ -59,9 +81,20 @@ def load(path):
     return report
 
 
-where = first_difference(load(sys.argv[1]), load(sys.argv[2]), "$")
-if where:
-    print(f"  exact: {sys.argv[2]} differs from {sys.argv[1]} at {where}")
+old, new = load(sys.argv[1]), load(sys.argv[2])
+diffs = list(differences(old, new, []))
+if diffs:
+    where, note = diffs[0]
+    print(f"  exact: {sys.argv[2]} differs from {sys.argv[1]} at "
+          f"{render(where)}{note}")
+    leaves = {}
+    for where, _ in diffs:
+        unit = scope(old, where)
+        leaves[unit] = leaves.get(unit, 0) + 1
+    print(f"  scope: {len(diffs)} differing leaves in {len(leaves)} "
+          "rows, runs or notes")
+    for unit, count in leaves.items():
+        print(f"    {unit}: {count}")
     sys.exit(1)
 print("  exact: identical outside build and execution")
 PY

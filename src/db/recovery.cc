@@ -10,21 +10,11 @@
 
 namespace viewmat::db {
 
-namespace {
-
-storage::WriteAheadLog::Options WalOptions(
-    const RecoveryManager::Options& options) {
-  storage::WriteAheadLog::Options wal_options;
-  wal_options.auto_sync = false;  // group commit: one sync per transaction
-  wal_options.lsn_allocator = options.lsn_allocator;
-  wal_options.component = storage::Component::kWal;
-  return wal_options;
-}
-
-}  // namespace
-
 RecoveryManager::RecoveryManager(storage::BufferPool* pool, Options options)
-    : pool_(pool), options_(options), wal_(pool->disk(), WalOptions(options)) {
+    : pool_(pool),
+      options_(options),
+      wal_(pool->disk(), {.lsn_allocator = options.lsn_allocator,
+                          .component = storage::Component::kWal}) {
   pool_->AttachWal(&wal_);
 }
 

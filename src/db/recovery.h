@@ -90,8 +90,8 @@ class RecoveryManager {
     bool sync_on_commit = true;
   };
 
-  /// Builds the unified WAL on `pool`'s disk (buffered mode — one device
-  /// sync per commit) and attaches it to the pool for WAL-rule enforcement.
+  /// Builds the unified WAL on `pool`'s disk and attaches it to the pool for
+  /// WAL-rule enforcement.
   RecoveryManager(storage::BufferPool* pool, Options options);
   explicit RecoveryManager(storage::BufferPool* pool)
       : RecoveryManager(pool, Options()) {}

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "common/logging.h"
 #include "obs/trace.h"
@@ -20,6 +21,23 @@ uint64_t DecodeU64(const uint8_t* in) {
   return v;
 }
 
+/// The payload size a well-formed AD-log record of `type` carries, or 0 for
+/// a type the AD log never writes.
+size_t PayloadSize(AdFile::WalRecord type, size_t tuple_size) {
+  switch (type) {
+    case AdFile::WalRecord::kIntentInsert:
+    case AdFile::WalRecord::kIntentDelete:
+      return tuple_size;
+    case AdFile::WalRecord::kTxnCommit:
+      return 16;
+    case AdFile::WalRecord::kRefreshBegin:
+    case AdFile::WalRecord::kViewPatched:
+    case AdFile::WalRecord::kFoldCommit:
+      return 8;
+  }
+  return 0;
+}
+
 }  // namespace
 
 AdFile::AdFile(storage::BufferPool* pool, db::Schema schema, size_t key_field,
@@ -34,8 +52,11 @@ AdFile::AdFile(storage::BufferPool* pool, db::Schema schema, size_t key_field,
   hash_ = std::make_unique<storage::HashIndex>(
       pool_, 1 + schema_.record_size(), options.hash_buckets);
   if (options_.enable_wal) {
-    log_ = std::make_unique<AdLog>(pool_->disk(), options_.lsn_allocator,
-                                   options_.log_auto_sync);
+    log_ = std::make_unique<storage::WriteAheadLog>(
+        pool_->disk(),
+        storage::WriteAheadLog::Options{
+            .lsn_allocator = options_.lsn_allocator,
+            .component = storage::Component::kAdLog});
     VIEWMAT_CHECK_MSG(schema_.record_size() <= log_->max_payload(),
                       "AD tuple too large for one WAL record");
   }
@@ -96,13 +117,11 @@ Status AdFile::LogMarker(WalRecord type, uint64_t value) {
       log_->Append(static_cast<uint8_t>(type), buf, sizeof(buf)));
   // Epoch markers order the fold protocol's crash analysis (begin <
   // view-patched < fold-commit relative to the page writes between them),
-  // so they stay write-through even when per-transaction records batch.
-  if (!options_.log_auto_sync) {
-    VIEWMAT_RETURN_IF_ERROR(log_->Sync());
-    // The eager sync drags any buffered per-transaction records to the
-    // device with it, so every commit issued so far just became durable.
-    durable_txn_floor_ = last_committed_txn_;
-  }
+  // so each one is durable before the protocol moves on. The sync drags
+  // any staged per-transaction records to the device with it, so every
+  // commit issued so far just became durable.
+  VIEWMAT_RETURN_IF_ERROR(log_->Sync());
+  durable_txn_floor_ = last_committed_txn_;
   return Status::OK();
 }
 
@@ -116,7 +135,7 @@ Status AdFile::SyncLog() {
 Status AdFile::RecordInsert(const db::Tuple& t) {
   VIEWMAT_RETURN_IF_ERROR(LogIntent(WalRecord::kIntentInsert, t));
   const Status st = ApplyInsert(t);
-  // The intent is durable but the hash file missed it: the two now disagree
+  // The intent is logged but the hash file missed it: the two now disagree
   // until Recover() replays the log.
   if (!st.ok() && log_ != nullptr) needs_recovery_ = true;
   return st;
@@ -141,18 +160,20 @@ Status AdFile::CommitTxn(uint64_t txn_id, uint64_t intent_count) {
   uint8_t buf[16];
   EncodeU64(txn_id, buf);
   EncodeU64(intent_count, buf + 8);
-  const Status st = log_->Append(static_cast<uint8_t>(WalRecord::kTxnCommit),
-                                 buf, sizeof(buf));
+  Status st = log_->Append(static_cast<uint8_t>(WalRecord::kTxnCommit), buf,
+                           sizeof(buf));
+  if (st.ok() && options_.sync_on_commit) st = log_->Sync();
   if (!st.ok()) {
-    // Intents were applied eagerly but never committed; the hash file is
-    // ahead of the committed log until Recover() rolls the tail back.
+    // Intents were applied eagerly but never (knowably) committed; the hash
+    // file is ahead of the committed log until Recover() rolls the tail
+    // back — or, when the read-back probe failed, adopts the commit.
     needs_recovery_ = true;
     return st;
   }
   last_committed_txn_ = txn_id;
-  // Write-through mode made the record durable in the Append itself; in
-  // group-commit mode durability waits for the next SyncLog/marker sync.
-  if (options_.log_auto_sync) durable_txn_floor_ = txn_id;
+  // Without sync_on_commit, durability waits for the next SyncLog or
+  // marker sync.
+  if (options_.sync_on_commit) durable_txn_floor_ = txn_id;
   return Status::OK();
 }
 
@@ -195,19 +216,30 @@ Status AdFile::Recover(RecoveryInfo* info) {
   std::vector<PendingIntent> committed;
   std::vector<PendingIntent> uncommitted;
   bool torn = false;
+  Status decode = Status::OK();
   obs::ScopedSpan replay_span(storage::TracerOf(tracker),
                               "recover.log_replay");
-  VIEWMAT_RETURN_IF_ERROR(log_->Scan(
+  const Status scanned = log_->Scan(
       [&](uint8_t type, const uint8_t* payload, uint16_t len) {
-        switch (static_cast<WalRecord>(type)) {
+        // A record that passed its checksum still comes from the device:
+        // an unknown type or a payload that does not fit its type is
+        // rejected, never parsed.
+        const auto record = static_cast<WalRecord>(type);
+        const size_t want = PayloadSize(record, schema_.record_size());
+        if (want == 0 || len != want) {
+          decode = Status::Internal(
+              "AD log record of type " + std::to_string(type) + " carries " +
+              std::to_string(len) + " payload bytes (expected " +
+              std::to_string(want) + ")");
+          return false;
+        }
+        switch (record) {
           case WalRecord::kIntentInsert:
           case WalRecord::kIntentDelete:
             uncommitted.push_back(
-                {static_cast<WalRecord>(type),
-                 db::Tuple::Deserialize(schema_, payload)});
+                {record, db::Tuple::Deserialize(schema_, payload)});
             break;
           case WalRecord::kTxnCommit: {
-            VIEWMAT_CHECK(len == 16);
             out->last_committed_txn = DecodeU64(payload);
             const uint64_t count = DecodeU64(payload + 8);
             // Only the committing transaction's own intents — the trailing
@@ -225,22 +257,21 @@ Status AdFile::Recover(RecoveryInfo* info) {
             break;
           }
           case WalRecord::kRefreshBegin:
-            VIEWMAT_CHECK(len == 8);
             out->last_epoch_begun = DecodeU64(payload);
             break;
           case WalRecord::kViewPatched:
-            VIEWMAT_CHECK(len == 8);
             out->view_patched_epoch = DecodeU64(payload);
             break;
           case WalRecord::kFoldCommit:
-            VIEWMAT_CHECK(len == 8);
             out->fold_committed_epoch = DecodeU64(payload);
             committed.clear();
             break;
         }
         return true;
       },
-      &torn));
+      &torn);
+  VIEWMAT_RETURN_IF_ERROR(scanned);
+  VIEWMAT_RETURN_IF_ERROR(decode);
   out->torn_tail = torn;
   out->discarded_intents += uncommitted.size();
   replay_span.End();

@@ -8,10 +8,10 @@
 #include "common/status.h"
 #include "db/schema.h"
 #include "db/tuple.h"
-#include "hr/ad_log.h"
 #include "storage/bloom_filter.h"
 #include "storage/buffer_pool.h"
 #include "storage/hash_index.h"
+#include "storage/wal.h"
 
 namespace viewmat::hr {
 
@@ -31,17 +31,20 @@ namespace viewmat::hr {
 /// entries exactly D-net, with A ∩ D = ∅ as the differential update
 /// algorithm requires.
 ///
-/// Durability: with Options::enable_wal the file keeps a write-ahead log
-/// (AdLog). Every mutation appends an intent record before touching the
-/// hash file; a transaction's intents take effect at its commit record.
+/// Durability: with Options::enable_wal the file keeps a write-ahead log (a
+/// storage::WriteAheadLog charged to Component::kAdLog). Every mutation
+/// stages an intent record before touching the hash file; a transaction's
+/// intents take effect at its commit record, and CommitTxn's one sync makes
+/// them durable together — the same commit rule as db::RecoveryManager.
 /// Recover() rebuilds the hash file and the Bloom filter from the log
-/// alone, discarding uncommitted tails — the crash-safety foundation the
-/// deferred strategy's atomic refresh builds on.
+/// alone, discarding uncommitted tails, so an intent applied to the hash
+/// file before its commit is durable is safe — the crash-safety foundation
+/// the deferred strategy's atomic refresh builds on.
 class AdFile {
  public:
   enum class Role : uint8_t { kDeleted = 0, kAppended = 1 };
 
-  /// WAL record types (the u8 type byte of AdLog records).
+  /// WAL record types (the u8 type byte of AD-log records).
   enum class WalRecord : uint8_t {
     kIntentInsert = 1,  ///< payload: serialized tuple
     kIntentDelete = 2,  ///< payload: serialized tuple
@@ -65,12 +68,14 @@ class AdFile {
     /// its records join the unified LSN space of the system's redo WAL
     /// (storage/wal.h). Null keeps a private sequence.
     storage::LsnAllocator* lsn_allocator = nullptr;
-    /// Sync the AD log on every append (write-through, the historical
-    /// behavior). False = group-commit mode: per-transaction intent/commit
-    /// records buffer until SyncLog(); refresh-protocol markers still sync
-    /// eagerly, because the fold protocol's crash analysis depends on their
-    /// durability ordering relative to the view patches around them.
-    bool log_auto_sync = true;
+    /// Sync the AD log inside every CommitTxn, as
+    /// db::RecoveryManager::Options::sync_on_commit does for the redo WAL.
+    /// When false the commit record is only staged and the caller owns
+    /// durability: it must call SyncLog() at group-commit batch boundaries.
+    /// Refresh-protocol markers sync either way, because the fold
+    /// protocol's crash analysis depends on their durability ordering
+    /// relative to the view patches around them.
+    bool sync_on_commit = true;
   };
 
   /// What Recover() learned from the log. Epochs are 0 when the marker is
@@ -94,7 +99,7 @@ class AdFile {
 
   /// Records that `t` was appended to the hypothetical relation. Cancels an
   /// identical pending deletion if present. With the WAL enabled the intent
-  /// is logged first; the change commits at the next CommitTxn.
+  /// is staged in the log first; the change commits at the next CommitTxn.
   Status RecordInsert(const db::Tuple& t);
 
   /// Records that `t` was deleted. Cancels an identical pending append if
@@ -102,11 +107,13 @@ class AdFile {
   Status RecordDelete(const db::Tuple& t);
 
   /// Commits this transaction's `intent_count` intents under `txn_id` (WAL
-  /// mode; a no-op otherwise). Until this returns OK the recorded intents
-  /// are an uncommitted tail that Recover() discards. The count travels in
-  /// the commit record so replay adopts exactly the committing
-  /// transaction's trailing intents — never stray records an earlier failed
-  /// transaction left durable in the log.
+  /// mode; a no-op otherwise): appends the commit record and, with
+  /// Options::sync_on_commit, syncs the log once, so an OK return means the
+  /// transaction is durable. Until then the recorded intents are an
+  /// uncommitted tail that Recover() discards. The count travels in the
+  /// commit record so replay adopts exactly the committing transaction's
+  /// trailing intents — never stray records an earlier failed transaction
+  /// left staged, which a later sync carries to the device.
   Status CommitTxn(uint64_t txn_id, uint64_t intent_count);
 
   /// Refresh-protocol markers (WAL mode). See DeferredStrategy::Refresh for
@@ -115,8 +122,8 @@ class AdFile {
   Status LogViewPatched(uint64_t epoch);
   Status LogFoldCommit(uint64_t epoch);
 
-  /// Forces buffered log records to the device — the group-commit batch
-  /// boundary when Options::log_auto_sync is false. No-op without a WAL.
+  /// Forces staged log records to the device — the group-commit batch
+  /// boundary when Options::sync_on_commit is false. No-op without a WAL.
   Status SyncLog();
 
   /// Kills volatile log state after a simulated crash+restart of the
@@ -150,14 +157,13 @@ class AdFile {
   bool wal_enabled() const { return log_ != nullptr; }
   uint64_t last_committed_txn() const { return last_committed_txn_; }
   /// Newest transaction id whose commit record is known durable — advanced
-  /// at every sync point (each commit in write-through mode; SyncLog and
-  /// eager marker syncs in group-commit mode). After a crash this floor,
-  /// not last_committed_txn(), bounds what provably survived: commits folded
-  /// into the base had durable records when the refresh-begin marker synced,
-  /// so the floor also covers transactions whose records a fold-final Reset
-  /// later truncated away.
+  /// at every sync point (each commit with sync_on_commit; SyncLog and the
+  /// marker syncs otherwise). After a crash this floor, not
+  /// last_committed_txn(), bounds what provably survived: commits folded
+  /// into the base had durable records when the refresh-begin marker
+  /// synced, so the floor also covers transactions whose records a
+  /// fold-final Reset later truncated away.
   uint64_t durable_txn_floor() const { return durable_txn_floor_; }
-  const AdLog* log() const { return log_.get(); }
 
   /// True if the Bloom filter admits the key might have AD entries. Free of
   /// I/O; false positives possible, false negatives impossible.
@@ -208,7 +214,7 @@ class AdFile {
   Options options_;
   std::unique_ptr<storage::HashIndex> hash_;
   storage::BloomFilter bloom_;
-  std::unique_ptr<AdLog> log_;
+  std::unique_ptr<storage::WriteAheadLog> log_;
   bool needs_recovery_ = false;
   uint64_t last_committed_txn_ = 0;
   uint64_t durable_txn_floor_ = 0;

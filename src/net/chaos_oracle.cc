@@ -72,9 +72,11 @@ void ArmProfile(ChaosProfile profile, int clients, Random* prng,
       break;
     case ChaosProfile::kPartition:
     case ChaosProfile::kCrashPartition: {
-      // Isolate the refresh path (degraded reads) ...
+      // Isolate the refresh path (degraded reads) for 600–1000 ms, 15–25
+      // refresh ticks: long enough that query replies land while the link
+      // is down whether a run's ops are cheap or dear in model time ...
       const double t0 = 30.0 + prng->NextDouble() * 40.0;
-      faulty->AddPartition(t0, t0 + 60.0 + prng->NextDouble() * 40.0,
+      faulty->AddPartition(t0, t0 + 600.0 + prng->NextDouble() * 400.0,
                            kServerNode, kRefresherNode);
       // ... cut one client off entirely for a window ...
       const NodeId victim =

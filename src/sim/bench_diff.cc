@@ -116,9 +116,10 @@ struct Differ {
   DiffResult result;
 
   void Compare(const std::string& path, double old_value, double new_value,
-               std::string attribution = "") {
+               std::string attribution = "", bool higher_is_better = false) {
     DiffEntry e;
     e.path = path;
+    e.higher_is_better = higher_is_better;
     e.old_value = old_value;
     e.new_value = new_value;
     e.delta = new_value - old_value;
@@ -132,8 +133,9 @@ struct Differ {
     // Cost-like metrics: growth past the threshold is a regression. A
     // metric springing from exactly 0 always is (0 -> anything has no
     // meaningful relative scale, and in a deterministic sim it means
-    // behavior changed).
-    e.regression = e.relative > options.threshold;
+    // behavior changed). A rate regresses by falling instead.
+    e.regression = (higher_is_better ? -e.relative : e.relative) >
+                   options.threshold;
     if (e.regression) e.attribution = std::move(attribution);
     result.entries.push_back(std::move(e));
   }
@@ -263,7 +265,8 @@ struct Differ {
         }
         Compare("table '" + title + "' " + series + " @ x=" + FmtG(x),
                 old_values->items[si].number,
-                new_values->items[new_si].number);
+                new_values->items[new_si].number, "",
+                std::string_view(series).ends_with("_tps"));
       }
     }
   }
@@ -280,7 +283,8 @@ size_t DiffResult::regressions() const {
 size_t DiffResult::improvements() const {
   size_t n = 0;
   for (const DiffEntry& e : entries) {
-    n += (!e.regression && e.relative < -threshold) ? 1 : 0;
+    const double gain = e.higher_is_better ? e.relative : -e.relative;
+    n += (!e.regression && gain > threshold) ? 1 : 0;
   }
   return n;
 }

@@ -17,10 +17,13 @@ namespace viewmat::sim {
 ///
 /// The simulator is deterministic, so "old" and "new" differ only if the
 /// code's behavior changed; the gate's job is telling harmless drift from
-/// a cost regression. A metric is a regression when it grows by more than
-/// `threshold` relative (cost metrics: higher is worse). Metrics present
-/// in the old report but missing from the new one are structural errors;
-/// metrics only in the new report are recorded as notes.
+/// a cost regression. Every metric is a cost (higher is worse) except a
+/// rate — a table series named `*_tps`, committed transactions per model
+/// second — where lower is worse. A metric is a regression when it moves
+/// the worse way by more than `threshold` relative, an improvement when it
+/// moves the better way by more. Metrics present in the old report but
+/// missing from the new one are structural errors; metrics only in the new
+/// report are recorded as notes.
 
 struct DiffOptions {
   /// Relative growth beyond which a metric is a regression: 0.05 = +5%.
@@ -33,6 +36,7 @@ struct DiffEntry {
   double new_value = 0;
   double delta = 0;     ///< new - old
   double relative = 0;  ///< delta / old (inf when old == 0 and new > 0)
+  bool higher_is_better = false;  ///< a rate, not a cost
   bool regression = false;
   /// For run metrics: top component contributions to the delta, from the
   /// explain_gap attribution (e.g. "bptree +12.3, wal +0.8 ms/query").
@@ -46,7 +50,7 @@ struct DiffResult {
   std::vector<std::string> notes;    ///< additions / informational
 
   size_t regressions() const;
-  size_t improvements() const;  ///< relative < -threshold
+  size_t improvements() const;  ///< moved the better way past threshold
   bool ok() const { return errors.empty() && regressions() == 0; }
   /// Rendering for the console: regressions first, then errors, then a
   /// one-line summary. `verbose` lists unchanged metrics too.

@@ -70,7 +70,7 @@ hr::AdFile::Options TortureAdOptions(const Params& params,
       std::max(2.0, 2.0 * params.u() / params.T() + 1.0));
   options.enable_wal = true;
   options.lsn_allocator = lsns;
-  options.log_auto_sync = !group_commit;
+  options.sync_on_commit = !group_commit;
   return options;
 }
 

@@ -55,8 +55,8 @@ costmodel::Params TortureParams(const costmodel::Params& base);
 
 /// AD-file options for crash-safe torture runs (WAL on, sized to the
 /// workload). `lsns` joins the AD log to a shared LSN space when non-null;
-/// `group_commit` buffers per-transaction log records (see
-/// AdFile::Options::log_auto_sync).
+/// `group_commit` leaves the per-commit sync to the batch boundary (see
+/// AdFile::Options::sync_on_commit).
 hr::AdFile::Options TortureAdOptions(const costmodel::Params& params,
                                      storage::LsnAllocator* lsns = nullptr,
                                      bool group_commit = false);

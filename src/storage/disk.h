@@ -19,7 +19,7 @@ namespace viewmat::storage {
 enum class CrashPoint : uint8_t {
   kNone = 0,
   kBeforeWalAppend,   ///< before an AD-log intent/commit record lands
-  kAfterWalAppend,    ///< intent durable, hash file not yet touched
+  kAfterWalAppend,    ///< intent staged, hash file not yet touched
   kBeforeViewPatch,   ///< refresh: deltas computed, view still clean
   kMidViewPatch,      ///< refresh: view deletes applied, inserts pending
   kAfterViewPatch,    ///< refresh: view patched, marker not yet logged

@@ -9,7 +9,6 @@ namespace viewmat::storage {
 
 WriteAheadLog::WriteAheadLog(DiskInterface* disk, Options options)
     : disk_(disk),
-      auto_sync_(options.auto_sync),
       component_(options.component),
       lsns_(options.lsn_allocator != nullptr ? options.lsn_allocator
                                              : &owned_lsns_),
@@ -169,7 +168,7 @@ Status WriteAheadLog::Append(uint8_t type, const uint8_t* payload,
   if (tail_used_ + need > page_size) {
     // Tail is full. Make any staged records durable first, then place the
     // record on a fresh page, write it, and only then link it from the old
-    // tail — the rollover itself is always durable, even in buffered mode.
+    // tail — the rollover itself is always durable.
     VIEWMAT_RETURN_IF_ERROR(SyncInternal());
     const Lsn lsn = lsns_->Next();
     last_lsn_ = lsn;
@@ -227,7 +226,6 @@ Status WriteAheadLog::Append(uint8_t type, const uint8_t* payload,
   tail_.WriteAt<uint32_t>(kUsedOff, off + need);
   tail_used_ = off + need;
   pending_.push_back(Pending{off, need, lsn});
-  if (auto_sync_) return SyncInternal();
   return Status::OK();
 }
 

@@ -40,18 +40,16 @@ class LsnAllocator {
   std::atomic<Lsn> next_{1};
 };
 
-/// An LSN-stamped, checksummed redo log: the generalization of the AD
-/// file's AdLog into a storage-layer service every maintenance strategy can
-/// share. An append-only chain of pages written straight to the disk (no
-/// buffer pool — a WAL append must be durable when Sync() returns), with
-/// two durability modes:
+/// An LSN-stamped, checksummed redo log: the one log service behind the
+/// system's redo WAL (db::RecoveryManager) and every AD file's log
+/// (hr::AdFile). An append-only chain of pages written straight to the disk
+/// (no buffer pool — a record must be durable when Sync() returns).
 ///
-///  - auto_sync (default, the historical AdLog behavior): every Append is
-///    written through and durable when it returns OK;
-///  - buffered (auto_sync = false): Append stages records in the in-memory
-///    tail page and Sync() makes everything staged durable in one device
-///    write — group commit. Staging never spans pages: a record that does
-///    not fit first syncs the pending tail, then rolls over durably.
+/// Append stages records in the in-memory tail page; Sync() makes
+/// everything staged durable in one device write, so a caller pays one
+/// write per commit (or per group-commit batch), not one per record.
+/// Staging never spans pages: a record that does not fit first syncs the
+/// pending tail, then rolls over durably.
 ///
 /// Torn-write safety: each record carries a length, its LSN, and an FNV-1a
 /// checksum. Records validate themselves — the scanner never trusts the
@@ -81,9 +79,6 @@ class WriteAheadLog {
       std::function<bool(Lsn, uint8_t, const uint8_t*, uint16_t)>;
 
   struct Options {
-    /// Write every Append through immediately (AdLog-compatible). When
-    /// false, records stage in the tail page until Sync().
-    bool auto_sync = true;
     /// Shared LSN space; the log owns a private allocator when null.
     LsnAllocator* lsn_allocator = nullptr;
     /// Cost attribution for this log's I/O.
@@ -98,10 +93,10 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Appends one record, stamping it with the next LSN (reported through
-  /// `out_lsn` when non-null). In auto_sync mode the record is durable iff
-  /// this returns OK (with the read-back caveat documented on Sync); in
-  /// buffered mode it is durable after the next OK Sync().
+  /// Stages one record, stamping it with the next LSN (reported through
+  /// `out_lsn` when non-null). The record is durable after the next OK
+  /// Sync() — or at once when it rolls the tail over to a fresh page, since
+  /// a rollover is always written through.
   Status Append(uint8_t type, const uint8_t* payload, uint16_t len,
                 Lsn* out_lsn = nullptr);
 
@@ -161,14 +156,8 @@ class WriteAheadLog {
   /// truth).
   size_t record_count() const { return record_count_; }
   size_t page_count() const { return chain_.size(); }
-  /// Records staged in the tail but not yet synced (buffered mode).
+  /// Records staged in the tail but not yet synced.
   size_t pending_records() const { return pending_.size(); }
-
-  /// True when every Append writes through immediately; false in buffered
-  /// (group-commit) mode, where an unsynced commit can be lost by a crash —
-  /// recovery code must then trust only the durable log, not in-memory
-  /// high-water floors.
-  bool auto_sync() const { return auto_sync_; }
 
   /// Newest LSN known durable on the device. The buffer pool's WAL rule
   /// compares page stamps against this before write-back.
@@ -220,7 +209,6 @@ class WriteAheadLog {
   Status SyncInternal();
 
   DiskInterface* disk_;
-  bool auto_sync_;
   Component component_;
   LsnAllocator owned_lsns_;
   LsnAllocator* lsns_;

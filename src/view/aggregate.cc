@@ -388,6 +388,13 @@ Status DeferredAggregateStrategy::Query(
   return VisitGroups(def_, groups, lo, hi, visit);
 }
 
+Status DeferredAggregateStrategy::ScanVisibleBase(
+    const db::Relation* /*base*/,
+    const db::Relation::TupleVisitor& visit) const {
+  return hr_.RangeScanByKey(std::numeric_limits<int64_t>::min(),
+                            std::numeric_limits<int64_t>::max(), visit);
+}
+
 RecomputeAggregateStrategy::RecomputeAggregateStrategy(
     AggregateDef def, storage::CostTracker* tracker)
     : def_(std::move(def)), tracker_(tracker) {

@@ -144,6 +144,12 @@ class DeferredAggregateStrategy : public ViewStrategy {
                const MaterializedView::CountedVisitor& visit) override;
   const char* name() const override { return "deferred-aggregate"; }
 
+  /// Base ∪ A − D through the hypothetical relation: committed transactions
+  /// live in the differential until a query folds them.
+  Status ScanVisibleBase(const db::Relation* base,
+                         const db::Relation::TupleVisitor& visit)
+      const override;
+
   uint64_t pending_tuples() const { return hr_.ad().entry_count(); }
 
  private:

@@ -48,6 +48,13 @@ class AdFileRecoveryTest : public ::testing::Test {
     return {a, d};
   }
 
+  /// Device writes charged to the AD log so far.
+  uint64_t AdLogWrites() const {
+    return tracker_.attributed()
+        .ComponentTotal(storage::Component::kAdLog)
+        .disk_writes;
+  }
+
   storage::CostTracker tracker_;
   storage::SimulatedDisk inner_;
   storage::FaultyDisk disk_;
@@ -85,9 +92,11 @@ TEST_F(AdFileRecoveryTest, RecoverRebuildsHashAndBloomFromLogAlone) {
 TEST_F(AdFileRecoveryTest, UncommittedTailIsDiscarded) {
   ASSERT_TRUE(ad_.RecordInsert(Row(1, 10)).ok());
   ASSERT_TRUE(ad_.CommitTxn(1, 1).ok());
-  // Transaction 2 never commits.
+  // Transaction 2 never commits. Its intents only stage; a later sync
+  // carries them to the device, where replay must still ignore them.
   ASSERT_TRUE(ad_.RecordInsert(Row(2, 20)).ok());
   ASSERT_TRUE(ad_.RecordDelete(Row(3, 30)).ok());
+  ASSERT_TRUE(ad_.SyncLog().ok());
 
   ad_.ScrambleForTest();
   AdFile::RecoveryInfo info;
@@ -136,11 +145,14 @@ TEST_F(AdFileRecoveryTest, CrashBeforeWalAppendLosesNothingDurable) {
 TEST_F(AdFileRecoveryTest, CrashAfterWalAppendDiscardsTheUncommittedIntent) {
   ASSERT_TRUE(ad_.RecordInsert(Row(1, 10)).ok());
   ASSERT_TRUE(ad_.CommitTxn(1, 1).ok());
-  // The intent lands in the log, then the crash fires before the hash
-  // apply — and the commit record never follows, so recovery discards it.
+  // The intent stages in the log, then the crash fires before the hash
+  // apply — and the commit record never follows. The log object outlives
+  // the device restart, so a later sync carries the staged stray to the
+  // device; recovery still discards it.
   disk_.ScriptCrash(CrashPoint::kAfterWalAppend);
   EXPECT_FALSE(ad_.RecordInsert(Row(2, 20)).ok());
   disk_.Restart();
+  ASSERT_TRUE(ad_.SyncLog().ok());
   ad_.ScrambleForTest();
   AdFile::RecoveryInfo info;
   ASSERT_TRUE(ad_.Recover(&info).ok());
@@ -214,12 +226,14 @@ TEST_F(AdFileRecoveryTest, FailedCommitMarksNeedsRecovery) {
 }
 
 TEST_F(AdFileRecoveryTest, CommitNeverAdoptsStrayIntentsFromFailedTxns) {
-  // Txn 1's intent lands durably in the log but the crash fires before the
-  // hash apply, so the transaction never commits — its intent is a durable
-  // stray the log cannot erase (appends only).
+  // Txn 1's intent stages in the log but the crash fires before the hash
+  // apply, so the transaction never commits. A later sync carries the
+  // staged intent to the device, where it is a durable stray the log
+  // cannot erase (appends only).
   disk_.ScriptCrash(CrashPoint::kAfterWalAppend);
   EXPECT_FALSE(ad_.RecordInsert(Row(1, 10)).ok());
   disk_.Restart();
+  ASSERT_TRUE(ad_.SyncLog().ok());
   AdFile::RecoveryInfo info;
   ASSERT_TRUE(ad_.Recover(&info).ok());
   EXPECT_EQ(info.discarded_intents, 1u);
@@ -236,6 +250,62 @@ TEST_F(AdFileRecoveryTest, CommitNeverAdoptsStrayIntentsFromFailedTxns) {
   ASSERT_EQ(a.size(), 1u);
   EXPECT_TRUE(a[0] == Row(2, 20));
   EXPECT_TRUE(d.empty());
+}
+
+TEST_F(AdFileRecoveryTest, LogWritesArePinnedPerCommitAndMarker) {
+  // Device writes charged to the AD log, step by step, in both commit
+  // modes: intents stage, the commit (or the batch's SyncLog) writes the
+  // tail page once, and every epoch marker is one write of its own.
+  for (const bool sync_on_commit : {true, false}) {
+    SCOPED_TRACE(sync_on_commit ? "sync_on_commit" : "group commit");
+    AdFile::Options options = WalOptions();
+    options.sync_on_commit = sync_on_commit;
+    AdFile ad(&pool_, TestSchema(), 0, options);
+    uint64_t before = AdLogWrites();
+    // Five intents fit the tail page.
+    for (int64_t k = 0; k < 5; ++k) {
+      ASSERT_TRUE(ad.RecordInsert(Row(k, 10 * k)).ok());
+    }
+    EXPECT_EQ(AdLogWrites() - before, 0u);
+    ASSERT_TRUE(ad.CommitTxn(1, 5).ok());
+    EXPECT_EQ(AdLogWrites() - before, sync_on_commit ? 1u : 0u);
+    EXPECT_EQ(ad.durable_txn_floor(), sync_on_commit ? 1u : 0u);
+    // Nothing is left staged after a synced commit; otherwise the batch
+    // boundary writes the whole transaction at once.
+    ASSERT_TRUE(ad.SyncLog().ok());
+    EXPECT_EQ(AdLogWrites() - before, 1u);
+    EXPECT_EQ(ad.durable_txn_floor(), 1u);
+
+    before = AdLogWrites();
+    ASSERT_TRUE(ad.LogRefreshBegin(1).ok());
+    EXPECT_EQ(AdLogWrites() - before, 1u);
+    ASSERT_TRUE(ad.LogViewPatched(1).ok());
+    EXPECT_EQ(AdLogWrites() - before, 2u);
+    ASSERT_TRUE(ad.LogFoldCommit(1).ok());
+    EXPECT_EQ(AdLogWrites() - before, 3u);
+  }
+}
+
+TEST_F(AdFileRecoveryTest, PageCrossingCommitWritesArePinned) {
+  // A 512-byte log page holds an 8-byte header and 16 intent records of
+  // 31 bytes (15-byte record header + a 16-byte tuple). The 17th intent
+  // rolls over: it syncs the 16 staged intents (1 write), writes itself to
+  // a fresh page (1) and links that page from the old tail (1). Intents
+  // 18–20 stage on the fresh page and the commit syncs them (1): 4 writes.
+  ASSERT_EQ(TestSchema().record_size(), 16u);
+  const uint64_t before = AdLogWrites();
+  for (int64_t k = 0; k < 20; ++k) {
+    ASSERT_TRUE(ad_.RecordInsert(Row(k, 10 * k)).ok());
+  }
+  EXPECT_EQ(AdLogWrites() - before, 3u);
+  ASSERT_TRUE(ad_.CommitTxn(1, 20).ok());
+  EXPECT_EQ(AdLogWrites() - before, 4u);
+
+  ad_.ScrambleForTest();
+  AdFile::RecoveryInfo info;
+  ASSERT_TRUE(ad_.Recover(&info).ok());
+  EXPECT_EQ(info.replayed_intents, 20u);
+  EXPECT_EQ(info.discarded_intents, 0u);
 }
 
 TEST_F(AdFileRecoveryTest, ResetTruncatesWalSoOldIntentsCannotReplay) {

@@ -77,6 +77,31 @@ TEST(BenchDiff, TableCellRegressionIsCaught) {
   EXPECT_NE(result->ToString().find("table 't1'"), std::string::npos);
 }
 
+TEST(BenchDiff, ThroughputIsAGainNotACost) {
+  // A `*_tps` series is a rate: rising is the improvement, falling the
+  // regression.
+  const auto report = [](double tps) {
+    return std::string(R"({"bench":"bench_fake","quick":false,)"
+                       R"("tables":[{"title":"t1","x_label":"x",)"
+                       R"("series":["model_ms","throughput_tps"],)"
+                       R"("rows":[{"x":0,"values":[10.0,)") +
+           std::to_string(tps) + "]}]}]}";
+  };
+  const auto rise = DiffBenchReports(report(80.0), report(160.0), {});
+  ASSERT_TRUE(rise.ok());
+  EXPECT_TRUE(rise->ok()) << rise->ToString();
+  EXPECT_EQ(rise->regressions(), 0u);
+  EXPECT_EQ(rise->improvements(), 1u);
+  EXPECT_EQ(rise->ToString().find("REGRESSION"), std::string::npos);
+
+  const auto fall = DiffBenchReports(report(160.0), report(80.0), {});
+  ASSERT_TRUE(fall.ok());
+  EXPECT_FALSE(fall->ok());
+  EXPECT_EQ(fall->regressions(), 1u);
+  EXPECT_EQ(fall->improvements(), 0u);
+  EXPECT_NE(fall->ToString().find("throughput_tps"), std::string::npos);
+}
+
 TEST(BenchDiff, MissingRunIsAStructuralError) {
   const std::string with_extra = Fixture(
       200.0, 10.0, R"(,{"name":"immediate","measured_ms_per_query":50.0})");

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "storage/buffer_pool.h"
 #include "storage/cost_tracker.h"
 #include "storage/disk.h"
@@ -57,6 +58,7 @@ TEST_F(WalTest, LsnsAreStampedMonotonically) {
     EXPECT_GT(lsn, prev);
     prev = lsn;
   }
+  ASSERT_TRUE(log.Sync().ok());
   const std::vector<Record> records = ScanAll(log);
   ASSERT_EQ(records.size(), 10u);
   for (size_t i = 1; i < records.size(); ++i) {
@@ -85,9 +87,7 @@ TEST_F(WalTest, SharedAllocatorPutsTwoLogsInOneLsnSpace) {
 }
 
 TEST_F(WalTest, BufferedRecordsAreNotDurableUntilSync) {
-  WriteAheadLog::Options options;
-  options.auto_sync = false;
-  WriteAheadLog log(&disk_, options);
+  WriteAheadLog log(&disk_);
   ASSERT_TRUE(Append(&log, 1, "one").ok());
   ASSERT_TRUE(Append(&log, 2, "two").ok());
   EXPECT_EQ(log.pending_records(), 2u);
@@ -104,9 +104,7 @@ TEST_F(WalTest, BufferedRecordsAreNotDurableUntilSync) {
 }
 
 TEST_F(WalTest, DiscardVolatileWithEmptyStagedTailIsANoOp) {
-  WriteAheadLog::Options options;
-  options.auto_sync = false;
-  WriteAheadLog log(&disk_, options);
+  WriteAheadLog log(&disk_);
   ASSERT_TRUE(Append(&log, 1, "durable").ok());
   ASSERT_TRUE(log.Sync().ok());
   const Lsn durable = log.durable_lsn();
@@ -119,9 +117,7 @@ TEST_F(WalTest, DiscardVolatileWithEmptyStagedTailIsANoOp) {
 }
 
 TEST_F(WalTest, DoubleDiscardVolatileIsIdempotent) {
-  WriteAheadLog::Options options;
-  options.auto_sync = false;
-  WriteAheadLog log(&disk_, options);
+  WriteAheadLog log(&disk_);
   ASSERT_TRUE(Append(&log, 1, "keep").ok());
   ASSERT_TRUE(log.Sync().ok());
   ASSERT_TRUE(Append(&log, 2, "staged-a").ok());
@@ -142,9 +138,7 @@ TEST_F(WalTest, DoubleDiscardVolatileIsIdempotent) {
 }
 
 TEST_F(WalTest, DiscardVolatileAfterSyncDropsNothingDurable) {
-  WriteAheadLog::Options options;
-  options.auto_sync = false;
-  WriteAheadLog log(&disk_, options);
+  WriteAheadLog log(&disk_);
   ASSERT_TRUE(Append(&log, 1, "one").ok());
   ASSERT_TRUE(Append(&log, 2, "two").ok());
   ASSERT_TRUE(log.Sync().ok());
@@ -161,15 +155,17 @@ TEST_F(WalTest, TornTailRecordIsDetectedAndDropped) {
   WriteAheadLog log(&disk_);
   ASSERT_TRUE(Append(&log, 1, "committed-one").ok());
   ASSERT_TRUE(Append(&log, 2, "committed-two").ok());
+  ASSERT_TRUE(log.Sync().ok());
 
-  // Tear the next append: the write fails after applying a random prefix
+  // Tear the next sync: the write fails after applying a random prefix
   // of the page — the classic partially-persisted block. If the prefix
   // happens to cover the whole record the read-back probe adopts it and the
-  // append is (correctly) acknowledged; either way acknowledgment and
+  // record is (correctly) acknowledged; either way acknowledgment and
   // durability must agree, and a half-written record never replays.
+  ASSERT_TRUE(Append(&log, 3, "torn-tail-record").ok());
   disk_.set_torn_writes(true);
   disk_.InjectWriteFault(0);
-  const bool acked = Append(&log, 3, "torn-tail-record").ok();
+  const bool acked = log.Sync().ok();
   disk_.ClearFaults();
   disk_.set_torn_writes(false);
 
@@ -203,9 +199,7 @@ TEST_F(WalTest, TruncateWithRecordLeavesOnlyTheCheckpoint) {
 
 TEST_F(WalTest, PoolWalRuleForcesSyncBeforeDirtyWriteback) {
   BufferPool pool(&disk_, 4);
-  WriteAheadLog::Options options;
-  options.auto_sync = false;
-  WriteAheadLog log(&disk_, options);
+  WriteAheadLog log(&disk_);
   pool.AttachWal(&log);
 
   Lsn commit_lsn = 0;
@@ -234,9 +228,7 @@ TEST_F(WalTest, PoolWalRuleForcesSyncBeforeDirtyWriteback) {
 }
 
 TEST_F(WalTest, SyncFailureDoesNotAcknowledgeThenRetrySucceeds) {
-  WriteAheadLog::Options options;
-  options.auto_sync = false;
-  WriteAheadLog log(&disk_, options);
+  WriteAheadLog log(&disk_);
   ASSERT_TRUE(Append(&log, 1, "first-batch").ok());
   ASSERT_TRUE(log.Sync().ok());
 
@@ -264,6 +256,154 @@ TEST_F(WalTest, SyncFailureDoesNotAcknowledgeThenRetrySucceeds) {
     EXPECT_GT(r.lsn, prev);
     prev = r.lsn;
   }
+}
+
+/// The AD file's log is a WriteAheadLog charged to Component::kAdLog
+/// (hr::AdFile). These cases run the log in that configuration; a record is
+/// acknowledged when the Sync after its Append returns OK.
+class AdLogTest : public WalTest {
+ protected:
+  static WriteAheadLog::Options AdLogOptions() {
+    return {.component = Component::kAdLog};
+  }
+
+  static bool AppendAndSync(WriteAheadLog* log, uint8_t type,
+                            const std::string& payload) {
+    return Append(log, type, payload).ok() && log->Sync().ok();
+  }
+};
+
+TEST_F(AdLogTest, AppendScanRoundTrip) {
+  WriteAheadLog log(&disk_, AdLogOptions());
+  ASSERT_TRUE(Append(&log, 1, "hello").ok());
+  ASSERT_TRUE(Append(&log, 2, "").ok());
+  ASSERT_TRUE(Append(&log, 3, "world!").ok());
+  ASSERT_TRUE(log.Sync().ok());
+
+  bool torn = true;
+  const std::vector<Record> records = ScanAll(log, &torn);
+  EXPECT_FALSE(torn);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].type, 1);
+  EXPECT_EQ(std::string(records[0].payload.begin(), records[0].payload.end()),
+            "hello");
+  EXPECT_EQ(records[1].type, 2);
+  EXPECT_TRUE(records[1].payload.empty());
+  EXPECT_EQ(records[2].type, 3);
+  EXPECT_EQ(log.record_count(), 3u);
+}
+
+TEST_F(AdLogTest, SpillsAcrossPagesAndScansInOrder) {
+  WriteAheadLog log(&disk_, AdLogOptions());
+  const std::string payload(40, 'p');  // a few records per 128-byte page
+  for (uint8_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(Append(&log, i, payload).ok());
+  }
+  ASSERT_TRUE(log.Sync().ok());
+  EXPECT_GT(log.page_count(), 1u);
+  const std::vector<Record> records = ScanAll(log);
+  ASSERT_EQ(records.size(), 20u);
+  for (uint8_t i = 0; i < 20; ++i) EXPECT_EQ(records[i].type, i);
+}
+
+TEST_F(AdLogTest, TruncateEmptiesAndReleasesPages) {
+  WriteAheadLog log(&disk_, AdLogOptions());
+  const std::string payload(40, 'p');
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(Append(&log, 1, payload).ok());
+  ASSERT_TRUE(log.Sync().ok());
+  const size_t live_before = disk_.live_pages();
+  ASSERT_TRUE(log.Truncate().ok());
+  EXPECT_EQ(log.record_count(), 0u);
+  EXPECT_EQ(log.page_count(), 1u);
+  EXPECT_LT(disk_.live_pages(), live_before);
+  EXPECT_TRUE(ScanAll(log).empty());
+  // The log remains usable after truncation.
+  ASSERT_TRUE(AppendAndSync(&log, 7, "post"));
+  const std::vector<Record> records = ScanAll(log);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].type, 7);
+}
+
+TEST_F(AdLogTest, FailedAppendIsNotDurable) {
+  WriteAheadLog log(&disk_, AdLogOptions());
+  ASSERT_TRUE(AppendAndSync(&log, 1, "keep"));
+  // The append stages; the sync that would make it durable fails.
+  ASSERT_TRUE(Append(&log, 2, "lost").ok());
+  disk_.InjectWriteFault(/*after=*/0);
+  EXPECT_FALSE(log.Sync().ok());
+  // The failed record must not appear, and the log must keep working.
+  std::vector<Record> records = ScanAll(log);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].type, 1);
+  ASSERT_TRUE(AppendAndSync(&log, 3, "next"));
+  records = ScanAll(log);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].type, 3);
+}
+
+TEST_F(AdLogTest, TornTailWriteDetectedByChecksum) {
+  WriteAheadLog log(&disk_, AdLogOptions());
+  ASSERT_TRUE(AppendAndSync(&log, 1, "durable-one"));
+  ASSERT_TRUE(AppendAndSync(&log, 2, "durable-two"));
+  // Tear the sync of the next record: a prefix of the new tail image lands,
+  // which can advance `used` while leaving the record bytes partial. If the
+  // torn prefix happens to cover the whole record, the read-back probe adopts
+  // it and the record is (correctly) acknowledged; either way acknowledgment
+  // and durability must agree.
+  ASSERT_TRUE(Append(&log, 3, "torn-away!!").ok());
+  disk_.set_torn_writes(true);
+  disk_.InjectWriteFault(/*after=*/0);
+  const bool acked = log.Sync().ok();
+  disk_.ClearFaults();
+  disk_.set_torn_writes(false);
+
+  bool torn = false;
+  const std::vector<Record> records = ScanAll(log, &torn);
+  // Every acknowledged record survives; an unacknowledged one never appears.
+  ASSERT_EQ(records.size(), acked ? 3u : 2u);
+  EXPECT_EQ(records[0].type, 1);
+  EXPECT_EQ(records[1].type, 2);
+  if (acked) {
+    EXPECT_EQ(records[2].type, 3);
+  }
+}
+
+TEST_F(AdLogTest, ManyTornAppendsNeverSurfaceUnacknowledgedRecords) {
+  WriteAheadLog log(&disk_, AdLogOptions());
+  disk_.set_torn_writes(true);
+  size_t acknowledged = 0;
+  Random rng(99);
+  for (int i = 0; i < 200; ++i) {
+    if (rng.Bernoulli(0.3)) disk_.InjectWriteFault(0);
+    const std::string payload(1 + rng.Uniform(60), 'a' + (i % 26));
+    if (AppendAndSync(&log, static_cast<uint8_t>(i % 250), payload)) {
+      ++acknowledged;
+    }
+  }
+  disk_.ClearFaults();
+  bool torn = false;
+  const std::vector<Record> records = ScanAll(log, &torn);
+  EXPECT_EQ(records.size(), acknowledged);
+}
+
+TEST_F(AdLogTest, MaxPayloadRecordFits) {
+  WriteAheadLog log(&disk_, AdLogOptions());
+  const std::string payload(log.max_payload(), 'm');
+  ASSERT_TRUE(AppendAndSync(&log, 5, payload));
+  const std::vector<Record> records = ScanAll(log);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].payload.size(), payload.size());
+}
+
+TEST_F(AdLogTest, ScanStopsWhenVisitorReturnsFalse) {
+  WriteAheadLog log(&disk_, AdLogOptions());
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(Append(&log, 1, "x").ok());
+  ASSERT_TRUE(log.Sync().ok());
+  int seen = 0;
+  ASSERT_TRUE(log.Scan([&](uint8_t, const uint8_t*, uint16_t) {
+    return ++seen < 2;
+  }).ok());
+  EXPECT_EQ(seen, 2);
 }
 
 }  // namespace

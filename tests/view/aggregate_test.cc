@@ -253,6 +253,49 @@ TEST(DeferredAggregate, RefreshesAtQueryTime) {
   EXPECT_NEAR(Scalar(db, &strategy), ExpectedSum(db), 1e-6);
 }
 
+TEST(DeferredAggregate, ScanVisibleBaseSeesTheDifferential) {
+  ViewTestDb db;
+  DeferredAggregateStrategy strategy(db.AggDef(AggregateOp::kSum),
+                                     db.AdOptions(), &db.tracker_);
+  ASSERT_TRUE(strategy.InitializeFromBase().ok());
+  const auto visible = [&] {
+    std::multiset<db::Tuple> out;
+    EXPECT_TRUE(strategy
+                    .ScanVisibleBase(db.base_,
+                                     [&](const db::Tuple& t) {
+                                       out.insert(t);
+                                       return true;
+                                     })
+                    .ok());
+    return out;
+  };
+  const auto base = [&] {
+    std::multiset<db::Tuple> out;
+    EXPECT_TRUE(db.base_->Scan([&](const db::Tuple& t) {
+                  out.insert(t);
+                  return true;
+                }).ok());
+    return out;
+  };
+
+  ASSERT_TRUE(strategy.OnTransaction(db.UpdateTxn(7, 700.0)).ok());
+  ASSERT_GT(strategy.pending_tuples(), 0u);
+  // The update sits in the differential: the visible base shows the new
+  // tuple and not the old one, while the stored base still has the old.
+  std::multiset<db::Tuple> seen = visible();
+  EXPECT_EQ(seen.size(), static_cast<size_t>(ViewTestDb::kN));
+  EXPECT_EQ(seen.count(db.BaseRow(7, 700.0)), 1u);
+  EXPECT_EQ(seen.count(db.BaseRow(7, 7.0)), 0u);
+  EXPECT_EQ(base().count(db.BaseRow(7, 7.0)), 1u);
+
+  // A query folds the differential into the base: both scans agree.
+  db.QueryAll(&strategy);
+  EXPECT_EQ(strategy.pending_tuples(), 0u);
+  seen = visible();
+  EXPECT_EQ(seen, base());
+  EXPECT_EQ(seen.count(db.BaseRow(7, 700.0)), 1u);
+}
+
 TEST(AllAggregateStrategies, AgreeOnRandomHistory) {
   for (const bool grouped : kShapes) {
     for (const AggregateOp op : kOps) {

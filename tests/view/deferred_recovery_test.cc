@@ -128,8 +128,8 @@ TEST_F(DeferredRecoveryTest, QueryAutoRecoversAfterRestart) {
 
 TEST_F(DeferredRecoveryTest, CrashDuringTransactionDiscardsUncommittedIntent) {
   ApplyTxns(&db_, &def_, 4);
-  // The intent lands in the WAL, then the device dies before the hash apply
-  // — the commit record never follows.
+  // The intent is staged in the AD log, then the device dies before the
+  // hash apply — the commit record never follows.
   const db::Transaction txn = db_.UpdateTxn(5, 9999.0);
   db_.disk_.ScriptCrash(CrashPoint::kAfterWalAppend);
   EXPECT_FALSE(def_.OnTransaction(txn).ok());
