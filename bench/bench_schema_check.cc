@@ -347,16 +347,6 @@ void CheckReport(const JsonValue& root, const std::string& file) {
     if (wall != nullptr && wall->number < 0) {
       Fail(exec_where + ".wall_seconds", "must be >= 0");
     }
-    // The scaling bench must publish its physical curves — worker list,
-    // wall-clock per worker count, speedups, and the wait histograms — in
-    // the execution block (they are machine-dependent, so nowhere else).
-    if (bench != nullptr && bench->string_value == "bench_server_scaling") {
-      for (const char* key :
-           {"scaling_workers", "scaling_wall_ms", "scaling_speedup",
-            "scaling_lock_wait_hist", "scaling_commit_wait_hist"}) {
-        Require(*execution, exec_where, key, JsonValue::Type::kString);
-      }
-    }
   }
   const JsonValue* build =
       Require(root, file, "build", JsonValue::Type::kObject);

@@ -1,20 +1,16 @@
-// Concurrent view-server sweep: drives every model × strategy combination
-// through multi-client schedules at a grid of client counts and update
-// fractions, executed by the worker pool under two-phase t-lock interval
-// locking. Reports per-cell throughput, conflict, and wait numbers, and
-// runs the serializability oracle on every cell: the concurrent final
-// state must equal the serial order of its committed transactions, with
-// identical per-op outcomes at one worker and at --jobs workers. All of
-// that is worker-count-independent by construction (seeded scheduler,
-// sequence-ordered commit pipeline), so the report differs between --jobs
-// settings only in the execution block — which is exactly what the
-// determinism ctest entry checks. Physical lock stats (wall waits,
-// blocked acquires) DO vary with the worker count and therefore live in
-// the execution block, not the gated metrics.
+// View-server sweep: drives every model × strategy combination through
+// multi-client schedules at a grid of client counts and update fractions,
+// then deferred Model 1 under group commit in each contention profile.
+// Reports per-cell throughput, conflict, and wait numbers, and runs the
+// serializability oracle on every cell: the final state must equal the
+// serial order of its committed transactions, with no stale query answer.
+// Every number is a function of the seeded options, so the report differs
+// between --jobs settings only in the execution block — which is exactly
+// what the determinism ctest entry checks.
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "server/oracle.h"
@@ -25,13 +21,27 @@ using namespace viewmat;
 
 namespace {
 
-/// Nearest-rank percentile over an unsorted sample (sorts a copy).
-double Percentile(std::vector<double> v, double p) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const size_t rank = std::min(
-      v.size() - 1, static_cast<size_t>(p / 100.0 * (v.size() - 1) + 0.5));
-  return v[rank];
+/// Runs one cell and its serializability check; prints the failure and
+/// returns false if either fails.
+bool RunCell(const server::ViewServer::Options& options, const char* what,
+             server::ViewServer::Result* out) {
+  auto run = [&]() -> StatusOr<server::ViewServer::Result> {
+    VIEWMAT_ASSIGN_OR_RETURN(auto srv, server::ViewServer::Create(options));
+    return srv->Run();
+  }();
+  if (!run.ok()) {
+    std::fprintf(stderr, "%s failed: %s\n", what,
+                 run.status().ToString().c_str());
+    return false;
+  }
+  const Status oracle = server::CheckSerializability(options, nullptr);
+  if (!oracle.ok()) {
+    std::fprintf(stderr, "%s NOT serializable: %s\n", what,
+                 oracle.ToString().c_str());
+    return false;
+  }
+  *out = *std::move(run);
+  return true;
 }
 
 }  // namespace
@@ -39,7 +49,6 @@ double Percentile(std::vector<double> v, double p) {
 int main(int argc, char** argv) {
   const sim::BenchCli cli = sim::BenchCli::Parse(argc, argv);
   sim::BenchReport report("bench_server", cli.quick);
-  const size_t workers = cli.effective_jobs();
 
   const std::vector<uint32_t> client_counts =
       cli.quick ? std::vector<uint32_t>{3} : std::vector<uint32_t>{2, 4, 8};
@@ -47,9 +56,6 @@ int main(int argc, char** argv) {
       cli.quick ? std::vector<double>{0.5} : std::vector<double>{0.25, 0.75};
 
   int cells = 0;
-  server::LockManager::Stats physical;
-  std::vector<double> lock_waits;
-  std::vector<double> commit_waits;
   for (const int model : {1, 2}) {
     for (const sim::StrategyKind kind : sim::kAllStrategyKinds) {
       if (!sim::SupportsModel(kind, model)) continue;
@@ -77,44 +83,15 @@ int main(int argc, char** argv) {
           options.schedule.update_fraction = update_fraction;
           options.schedule.abort_fraction = 0.1;
           options.schedule.seed = 1000 + clients;
-          options.workers = workers;
 
-          auto run = [&]() -> StatusOr<server::ViewServer::Result> {
-            VIEWMAT_ASSIGN_OR_RETURN(auto srv,
-                                     server::ViewServer::Create(options));
-            return srv->Run();
-          }();
-          if (!run.ok()) {
-            std::fprintf(stderr, "%s clients=%u failed: %s\n", combo.c_str(),
-                         clients, run.status().ToString().c_str());
-            return 1;
-          }
-          // The oracle re-executes the cell serially and at the sweep's
-          // worker count; any stale read, outcome divergence, or
-          // non-serializable final state fails the bench.
-          const Status oracle = server::CheckSerializability(
-              options, {1, workers}, nullptr);
-          if (!oracle.ok()) {
-            std::fprintf(stderr, "%s clients=%u NOT serializable: %s\n",
-                         combo.c_str(), clients,
-                         oracle.ToString().c_str());
-            return 1;
-          }
-          const server::ViewServer::Result& r = *run;
+          server::ViewServer::Result r;
+          if (!RunCell(options, title, &r)) return 1;
           table.AddRow(clients,
                        {static_cast<double>(r.committed),
                         static_cast<double>(r.aborted),
                         static_cast<double>(r.queries_exact),
                         static_cast<double>(r.logical_conflicts),
                         r.logical_wait_ms, r.model_ms, r.throughput_tps});
-          physical.acquires += r.lock_stats.acquires;
-          physical.blocked_acquires += r.lock_stats.blocked_acquires;
-          physical.releases += r.lock_stats.releases;
-          physical.wall_wait_ms += r.lock_stats.wall_wait_ms;
-          for (const server::ViewServer::OpResult& op : r.ops) {
-            lock_waits.push_back(op.physical_lock_wait_ms);
-            commit_waits.push_back(op.physical_commit_wait_ms);
-          }
           ++cells;
         }
         report.AddTable(table);
@@ -123,40 +100,53 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The gated note must not mention the worker count — it is the one
-  // input allowed to differ between the jobs-1 and jobs-8 runs the
-  // determinism check byte-compares.
-  char summary[160];
+  // Deferred Model 1 under group commit (batches of 4) over a 256-frame
+  // pool, in each contention profile: how key geometry turns into logical
+  // conflicts, and how many batch syncs the commits share.
+  for (const server::ContentionProfile profile :
+       {server::ContentionProfile::kDisjoint,
+        server::ContentionProfile::kHotRange,
+        server::ContentionProfile::kUniform}) {
+    sim::SeriesTable table;
+    table.title = std::string("server group-commit ") +
+                  server::ContentionProfileName(profile);
+    table.x_label = "clients";
+    table.series_names = {"committed", "queries_exact", "logical_conflicts",
+                          "commit_batches", "throughput_tps"};
+    server::ViewServer::Options options;
+    options.driver.kind = sim::StrategyKind::kDeferred;
+    options.driver.model = 1;
+    options.driver.params = sim::TortureParams(costmodel::Params());
+    options.driver.seed = 17;
+    options.driver.group_commit = true;
+    options.driver.pool_pages = 256;
+    options.schedule.clients = 8;
+    options.schedule.ops_per_client = cli.quick ? 4 : 12;
+    options.schedule.update_fraction = 0.5;
+    options.schedule.abort_fraction = 0.1;
+    options.schedule.seed = 4242;
+    options.schedule.contention = profile;
+    options.commit_batch = 4;
+
+    server::ViewServer::Result r;
+    if (!RunCell(options, table.title.c_str(), &r)) return 1;
+    table.AddRow(options.schedule.clients,
+                 {static_cast<double>(r.committed),
+                  static_cast<double>(r.queries_exact),
+                  static_cast<double>(r.logical_conflicts),
+                  static_cast<double>(r.commit_batches), r.throughput_tps});
+    report.AddTable(table);
+    ++cells;
+    std::printf("%-30s serializable\n", table.title.c_str());
+  }
+
+  char summary[200];
   std::snprintf(summary, sizeof(summary),
-                "%d cells across 9 model-strategy combos; every cell "
-                "serializable at one worker and at the sweep worker count",
+                "%d cells across 9 model-strategy combos and 3 group-commit "
+                "contention profiles; every cell serializable (no stale "
+                "answer, final state equals the serial replay)",
                 cells);
-  std::printf("\n%s (workers=%zu)\n", summary, workers);
+  std::printf("\n%s\n", summary);
   report.AddNote("invariant", summary);
-  // Wall waits and blocked counts depend on thread timing and worker
-  // count — execution block only, never gated.
-  char lock_note[160];
-  std::snprintf(lock_note, sizeof(lock_note),
-                "acquires=%llu blocked=%llu releases=%llu wall_wait_ms=%.3f",
-                static_cast<unsigned long long>(physical.acquires),
-                static_cast<unsigned long long>(physical.blocked_acquires),
-                static_cast<unsigned long long>(physical.releases),
-                physical.wall_wait_ms);
-  report.AddExecutionNote("lock_stats", lock_note);
-  // Per-op physical wait distributions across every cell. These are wall
-  // times measured on whatever machine ran the sweep — tail shape is the
-  // interesting part (a fat p99 on lock waits means stripes are hot; a fat
-  // p99 on commit waits means retirement is the bottleneck).
-  char wait_note[160];
-  std::snprintf(wait_note, sizeof(wait_note),
-                "p50=%.4f p95=%.4f p99=%.4f ms over %zu ops",
-                Percentile(lock_waits, 50), Percentile(lock_waits, 95),
-                Percentile(lock_waits, 99), lock_waits.size());
-  report.AddExecutionNote("physical_lock_wait", wait_note);
-  std::snprintf(wait_note, sizeof(wait_note),
-                "p50=%.4f p95=%.4f p99=%.4f ms over %zu ops",
-                Percentile(commit_waits, 50), Percentile(commit_waits, 95),
-                Percentile(commit_waits, 99), commit_waits.size());
-  report.AddExecutionNote("physical_commit_wait", wait_note);
   return sim::FinishBenchMain(cli, &report);
 }

@@ -48,10 +48,6 @@ echo "== bench regression gate (bench_diff vs committed baselines) =="
   --jobs "$jobs" >/dev/null
 ./build/bench/bench_diff BENCH_server.json \
   build/BENCH_server.new.json --threshold 5%
-./build/bench/bench_server_scaling --json build/BENCH_server_scaling.new.json \
-  --jobs "$jobs" >/dev/null
-./build/bench/bench_diff BENCH_server_scaling.json \
-  build/BENCH_server_scaling.new.json --threshold 5%
 ./build/bench/bench_chaos --json build/BENCH_chaos.new.json \
   --jobs "$jobs" >/dev/null
 ./build/bench/bench_diff BENCH_chaos.json \
@@ -65,9 +61,6 @@ python3 perfbench/selfcheck.py
 
 echo "== server smoke (multi-client view server + serializability oracle) =="
 ctest --test-dir build --output-on-failure -L server
-
-echo "== scaling lane (worker sweep determinism + shard/stripe stress) =="
-ctest --test-dir build --output-on-failure -L scaling
 
 echo "== sanitized build (address;undefined) =="
 cmake -S . -B build-asan -DVIEWMAT_SANITIZE="address;undefined" >/dev/null
@@ -86,8 +79,6 @@ cmake -S . -B build-tsan -DVIEWMAT_SANITIZE="thread" >/dev/null
 cmake --build build-tsan -j "$jobs"
 echo "== thread-sanitized concurrency suites (tsan label) =="
 ctest --test-dir build-tsan --output-on-failure -L tsan
-echo "== thread-sanitized scaling smoke (worker sweep under TSan) =="
-ctest --test-dir build-tsan --output-on-failure -L scaling
 echo "== thread-sanitized chaos suites (oracle fan-out under TSan) =="
 ctest --test-dir build-tsan --output-on-failure -L chaos
 

@@ -44,8 +44,7 @@ struct Span {
 /// "recover.ad", "recover.log_replay", "recover.bloom_rebuild",
 /// "recover.wal_analysis", "recover.wal_redo". The server layer adds the
 /// namespaced roots "server.txn" / "server.query" (one per scheduled
-/// client operation) and "lock.wait" (a worker physically blocked in
-/// LockManager::Acquire). The wire layer adds the "net." roots:
+/// client operation). The wire layer adds the "net." roots:
 /// "net.send" (one per message handed to the in-process transport),
 /// "net.retry" (a client re-sending an unacknowledged request after a
 /// timeout), and "net.redeliver" (the server answering a duplicate

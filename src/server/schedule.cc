@@ -43,6 +43,26 @@ db::IntervalSet WriterIntervals(const sim::Victims& victims) {
 
 bool IsWriter(const ScheduledOp& op) { return op.kind == OpKind::kUpdate; }
 
+bool RequestsConflict(const LockRequest& a, const LockRequest& b) {
+  if (a.relation_id != b.relation_id) return false;
+  const bool modes_conflict =
+      a.mode == LockMode::kExclusive || b.mode == LockMode::kExclusive;
+  return modes_conflict && !db::IntervalSet::Intersect(a.keys, b.keys).empty();
+}
+
+/// The sim::MultisetDigest of the view answer over [lo, hi] the shadow
+/// predicts: one tuple per view key in range.
+uint64_t ExpectedDigest(const sim::ShadowOracle& shadow, int model, int64_t lo,
+                        int64_t hi) {
+  sim::MultisetDigest digest;
+  const int64_t to = std::min<int64_t>(hi, shadow.f_cut - 1);
+  for (int64_t key = std::max<int64_t>(lo, 0); key <= to; ++key) {
+    db::Tuple value;
+    if (sim::ShadowViewTuple(shadow, model, key, &value)) digest.Add(value, 1);
+  }
+  return digest.value();
+}
+
 /// The key range a client draws from under a contention profile. For
 /// kUniform this is the whole relation, so `base + Uniform(width)` is the
 /// exact draw the pre-profile scheduler made — existing seeds keep their
@@ -69,6 +89,15 @@ KeyRange ProfileRange(ContentionProfile p, uint32_t client, uint32_t clients,
 }
 
 }  // namespace
+
+bool Conflicts(const LockSet& a, const LockSet& b) {
+  for (const LockRequest& ra : a) {
+    for (const LockRequest& rb : b) {
+      if (RequestsConflict(ra, rb)) return true;
+    }
+  }
+  return false;
+}
 
 const char* ContentionProfileName(ContentionProfile p) {
   switch (p) {
@@ -151,7 +180,7 @@ Schedule BuildSchedule(const ScheduleOptions& options,
         // historical stream never clamped).
         op.hi = std::min(op.hi, range.base + range.width - 1);
       }
-      op.expected = sim::ExpectedRange(shadow, model, op.lo, op.hi);
+      op.expected_digest = ExpectedDigest(shadow, model, op.lo, op.hi);
       op.locks.push_back(LockRequest{kLockRelBase, LockMode::kShared,
                                      ReaderIntervals(screen, op.lo, op.hi)});
       if (model == 2) {

@@ -4,11 +4,43 @@
 #include <cstdint>
 #include <vector>
 
-#include "server/lock_manager.h"
+#include "db/predicate.h"
 #include "sim/oracle.h"
 #include "sim/strategy_driver.h"
 
 namespace viewmat::server {
+
+/// Lock mode of the logical t-lock model. Compatibility is the classical
+/// matrix restricted to two modes — S/S compatible, S/X and X/X
+/// conflicting — but applied to *intervals* of the B+-tree key space
+/// rather than to single objects: two locks conflict only when their modes
+/// conflict AND their interval sets intersect on the same relation's
+/// keyspace.
+enum class LockMode : uint8_t {
+  kShared,     ///< readers: view queries lock the queried range ∩ screen
+  kExclusive,  ///< writers: update transactions lock their net A/D keys
+};
+
+/// One interval lock request: a set of closed key intervals on one
+/// relation's clustering key. Writers derive point intervals from their
+/// net A/D sets; readers derive theirs from the paper's t-lock screening
+/// predicate (Predicate::ImpliedRangeSet on the lock field) intersected
+/// with the queried range — a reader outside the view's screening interval
+/// can never conflict with it.
+struct LockRequest {
+  uint32_t relation_id = 0;
+  LockMode mode = LockMode::kShared;
+  db::IntervalSet keys;
+};
+
+/// A transaction's full lock set.
+using LockSet = std::vector<LockRequest>;
+
+/// True iff `a` and `b` held by *different* transactions could not be
+/// granted together: some pair of requests on the same relation has
+/// conflicting modes and intersecting interval sets. AnalyzeSchedule
+/// counts logical conflicts with it.
+bool Conflicts(const LockSet& a, const LockSet& b);
 
 /// Relation ids in every lock set: 0 = R/R1 (the updated relation),
 /// 1 = R2 (read-only join side, model 2 only).
@@ -18,9 +50,9 @@ inline constexpr uint32_t kLockRelR2 = 1;
 enum class OpKind : uint8_t { kUpdate, kQuery };
 
 /// One client operation in the global schedule. The sequence index is the
-/// transaction id, the lock-grant priority, and the commit LSN order all at
-/// once: the seeded sequencer fixes it before any thread runs, which is
-/// what makes every downstream number worker-count-independent.
+/// transaction id, the execution order, and the commit LSN order all at
+/// once: the seeded sequencer fixes it before the server runs, so every
+/// downstream number is a function of the options alone.
 struct ScheduledOp {
   uint64_t seq = 0;
   uint32_t client = 0;
@@ -35,14 +67,14 @@ struct ScheduledOp {
   /// the lifecycle's begin/acquire/abort path, with undo via Abort().
   bool voluntary_abort = false;
 
-  /// Queries: the range and the exact multiset the view must return given
-  /// every earlier non-aborted update committed (true by construction in
-  /// the sequence-ordered commit pipeline).
+  /// Queries: the range and the sim::MultisetDigest of the exact multiset
+  /// the view must return given every earlier non-aborted update committed
+  /// (true by construction: the server executes in sequence order).
   int64_t lo = 0;
   int64_t hi = 0;
-  sim::ViewMultiset expected;
+  uint64_t expected_digest = 0;
 
-  /// The two-phase lock set: writers take X point intervals on their net
+  /// The logical lock set: writers take X point intervals on their net
   /// A/D keys; readers take S on (queried range ∩ the view's t-lock
   /// screening intervals), so a reader outside the screen never conflicts.
   LockSet locks;
@@ -54,7 +86,7 @@ struct ScheduledOp {
   uint32_t conflicts_ww = 0;  ///< writer-writer conflict edges
 };
 
-/// How clients' key choices collide — the knob the scaling bench sweeps.
+/// How clients' key choices collide.
 /// Profiles shape WHERE a client's updates and queries land; everything
 /// else about the schedule (op mix, interleaving, RNG streams) is shared,
 /// so profiles are comparable run-to-run at the same seed.
@@ -63,12 +95,11 @@ enum class ContentionProfile : uint8_t {
   /// This path reproduces the pre-profile RNG stream byte-for-byte, so
   /// existing seeds keep their exact schedules.
   kUniform,
-  /// Each client confined to its own contiguous key partition: writer
-  /// lock sets never overlap across clients, the embarrassingly-parallel
-  /// best case for the striped lock table.
+  /// Each client confined to its own contiguous key partition: lock sets
+  /// never overlap across clients, so no op logically waits on another.
   kDisjoint,
   /// Every client hammers the same small key prefix (n/8): the worst case,
-  /// where most ops contend for the same stripes.
+  /// where most ops conflict with their in-window predecessors.
   kHotRange,
 };
 
@@ -96,8 +127,8 @@ struct Schedule {
 /// Builds the deterministic global schedule for `driver`'s scenario: one
 /// seeded stream per client (so a client's ops do not depend on the
 /// interleaving), a seeded sequencer interleaving the active clients, and
-/// per-query expected answers from a generation shadow advanced by every
-/// non-aborted update in sequence order.
+/// per-query expected answer digests from a generation shadow advanced by
+/// every non-aborted update in sequence order.
 Schedule BuildSchedule(const ScheduleOptions& options,
                        sim::StrategyDriver* driver);
 

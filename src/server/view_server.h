@@ -1,88 +1,65 @@
 #ifndef VIEWMAT_SERVER_VIEW_SERVER_H_
 #define VIEWMAT_SERVER_VIEW_SERVER_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "server/lock_manager.h"
 #include "server/schedule.h"
 #include "sim/strategy_driver.h"
 #include "storage/cost_tracker.h"
 
 namespace viewmat::server {
 
-/// A VirtualClock the server can publish model time through from whichever
-/// worker retires an op, readable by any thread (lock-wait spans begin on
-/// threads that do not own the cost tracker).
-class AtomicModelClock : public obs::VirtualClock {
+/// The server's model clock for its tracer: the schedule's model time as of
+/// the last retired op.
+class ModelClock : public obs::VirtualClock {
  public:
-  double NowMs() const override { return ms_.load(std::memory_order_relaxed); }
-  void Set(double ms) { ms_.store(ms, std::memory_order_relaxed); }
+  double NowMs() const override { return ms_; }
+  void Set(double ms) { ms_ = ms; }
 
  private:
-  std::atomic<double> ms_{0.0};
+  double ms_ = 0.0;
 };
 
 /// How one scheduled op ended.
 enum class OpStatus : uint8_t {
   kCommitted,    ///< update durably committed
-  kAborted,      ///< update voluntarily aborted (locks held, undo, release)
+  kAborted,      ///< update voluntarily aborted (unapplied changes undone)
   kRejected,     ///< update failed before/at commit and provably did not land
   kSkipped,      ///< never executed, or executed against state a crash erased
-  kQueryExact,   ///< query answered and matched the expected multiset
+  kQueryExact,   ///< query answered; its digest matched the expected one
   kQueryStale,   ///< query answered but WRONG — a serializability violation
   kQueryFailed,  ///< query errored loudly (only possible in crash runs)
 };
 
-const char* OpStatusName(OpStatus s);
-
 /// The multi-client view server: N simulated client sessions issue
 /// interleaved update/query transactions against one shared StrategyDriver
-/// (base relations + materialized view + maintenance strategy + recovery),
-/// executed by a fixed pool of real worker threads under the LockManager's
-/// striped two-phase interval locks.
+/// (base relations + materialized view + maintenance strategy + recovery).
+/// Run() executes them on the calling thread, one op at a time, in schedule
+/// sequence order.
 ///
-/// Determinism contract (the Calvin-style split the benches rely on): the
-/// seeded scheduler fixes the global sequence before any thread runs, and
-/// every logical artifact — op outcomes, per-op cost deltas, model time,
-/// conflict and wait analysis, the final state digest — is byte-identical
-/// at any worker count. Only physical quantities (wall time, lock waits,
-/// blocked counts) vary with the machine, and those are reported separately
-/// so benches confine them to the nondeterministic `execution` block.
+/// Determinism contract: the seeded scheduler fixes the global sequence
+/// before anything runs, and every logical artifact — op outcomes, per-op
+/// cost deltas, model time, conflict and wait analysis, the final state
+/// digest — is a function of the options alone. Only the op loop's wall
+/// time varies with the machine.
 ///
-/// How the physical pipeline keeps that promise:
-///
-///  - Static classification. Each op is EXCLUSIVE (may mutate shared state:
-///    every update, and any query whose strategy could refresh/recompute on
-///    the read path) or PARALLEL (provably pure reads). Classification uses
-///    only the schedule and the strategy kind, so it is identical at any
-///    worker count.
-///  - Admission. An exclusive op starts only when every earlier op has
-///    retired (it runs truly alone); a parallel op starts once the last
-///    exclusive op before it has retired. Runs of consecutive parallel ops
-///    therefore overlap physically; everything else is serialized in
-///    schedule order.
-///  - Sharded cost tracking. Each in-flight op charges a private CostShard
-///    (ShardScope); shards merge into the tracker strictly in sequence
-///    order at retirement, reproducing the serial totals counter for
-///    counter (integer counters — merging is exact).
-///  - Retirement. Ops retire in sequence order under one mutex: merge the
-///    shard, stamp commit_ms from the merged totals, publish the model
-///    clock. A worker never waits for its own retirement — whichever
-///    worker marks the op done drains the retirement queue.
+///  - Logical locks. Each op carries a t-lock interval set (schedule.h);
+///    AnalyzeSchedule turns intersecting sets of in-window ops of other
+///    clients into conflict edges, and Run() turns those into logical
+///    waits on the model clock. Executing in sequence order is the serial
+///    witness those locks would enforce, so nothing is locked at run time.
+///  - Retirement. After an op executes, its cost is the tracker delta
+///    across it and its commit stamp is the model time since the build.
 ///  - Group commit (Options::driver.group_commit). Commit records buffer in
 ///    the log tail; retirement syncs once per `commit_batch` commits and at
-///    the final op, charging the sync to the retiring op's shard. A crash
-///    can then lose a suffix of acknowledged commits: every update records
-///    the transaction id the driver issued, and after recovery each id is
+///    the final op, charging the sync to the retiring op. A crash can then
+///    lose a suffix of acknowledged commits: every update records the
+///    transaction id the driver issued, and after recovery each id is
 ///    replayed against the durable high-water mark — lost commits demote to
 ///    kRejected and every later op's observation of the erased state
 ///    demotes to kSkipped.
@@ -91,26 +68,26 @@ class ViewServer {
   struct Options {
     sim::StrategyDriver::Options driver;
     ScheduleOptions schedule;
+    /// Unused; kept only because perfbench/server.cc sets it.
     size_t workers = 1;
     /// Commits per group-commit batch (used only when driver.group_commit
-    /// is set): the retirement pipeline syncs the WAL after this many
-    /// committed updates, and once more at the end of the schedule.
+    /// is set): retirement syncs the WAL after this many committed
+    /// updates, and once more at the end of the schedule.
     size_t commit_batch = 4;
     /// If nonzero, the disk crashes at this (1-based) disk op after the
     /// schedule starts; the server stops, recovers, and reports a
     /// prefix-consistent state.
     size_t crash_at_disk_op = 0;
     /// Optional instrumentation (not owned; may be null). The tracer runs
-    /// on the server's atomic model clock and receives server.txn /
-    /// server.query spans from the executing workers plus lock.wait spans
-    /// from physically blocked workers.
+    /// on the server's model clock and receives one server.txn /
+    /// server.query span per executed op, on the calling thread's track.
     obs::MetricsRegistry* metrics = nullptr;
     obs::Tracer* tracer = nullptr;
   };
 
   struct OpResult {
     OpStatus status = OpStatus::kSkipped;
-    storage::CostCounters cost;   ///< this op's shard (merged at retirement)
+    storage::CostCounters cost;   ///< tracker delta across the op
     double commit_ms = 0.0;       ///< model clock when the op retired
     double arrive_ms = 0.0;       ///< logical arrival (client's prev commit)
     double logical_wait_ms = 0.0; ///< lock-wait under the logical model
@@ -118,11 +95,9 @@ class ViewServer {
     /// the driver). Deterministic; the post-crash reconciliation key.
     uint64_t txn_id = 0;
 
-    // -- Physical quantities: worker-count and machine dependent. Benches
-    //    must confine these to the nondeterministic `execution` block. --
-    bool physically_blocked = false;  ///< lock acquire actually waited
-    double physical_lock_wait_ms = 0.0;    ///< wall time blocked in Acquire
-    double physical_commit_wait_ms = 0.0;  ///< wall time done → retired
+    bool physically_blocked = false;       ///< false; for perfbench/server.cc
+    double physical_lock_wait_ms = 0.0;    ///< 0; for perfbench/server.cc
+    double physical_commit_wait_ms = 0.0;  ///< 0; for perfbench/server.cc
   };
 
   struct Result {
@@ -143,12 +118,10 @@ class ViewServer {
 
     double model_ms = 0.0;        ///< model time the schedule consumed
     double throughput_tps = 0.0;  ///< committed txns per model second
-    storage::CostCounters total_cost;  ///< sum of all op shards
+    storage::CostCounters total_cost;  ///< sum of all op costs
 
-    /// Ops the static classifier admitted concurrently / serially (counts
-    /// executed ops only). Deterministic.
-    uint64_t parallel_ops = 0;
-    uint64_t exclusive_ops = 0;
+    uint64_t parallel_ops = 0;   ///< 0; for perfbench/server.cc
+    uint64_t exclusive_ops = 0;  ///< executed ops; for perfbench/server.cc
     /// Group-commit batches synced (0 without group commit). Deterministic.
     uint64_t commit_batches = 0;
 
@@ -156,46 +129,31 @@ class ViewServer {
     uint64_t recoveries = 0;
     uint64_t state_digest = 0;  ///< StateDigest of the converged final state
 
-    /// Physical wall-clock time the pool spent on the schedule — the
-    /// numerator of every scaling curve. Execution-block only.
-    double wall_ms = 0.0;
-    /// Physical lock statistics — wall time and actual blocking, which
-    /// depend on the worker count and machine. Never fold these into a
-    /// deterministic report section.
-    LockManager::Stats lock_stats;
+    double wall_ms = 0.0;  ///< the op loop's wall time; for perfbench/server.cc
   };
 
-  /// Builds the driver (healthy load), the schedule, the conflict analysis,
-  /// and the static parallelism classification.
+  /// Builds the driver (healthy load), the schedule, and the conflict
+  /// analysis.
   static StatusOr<std::unique_ptr<ViewServer>> Create(const Options& options);
 
   ViewServer(const ViewServer&) = delete;
   ViewServer& operator=(const ViewServer&) = delete;
 
-  /// Executes the whole schedule on the worker pool. One-shot.
+  /// Executes the whole schedule on the calling thread. One-shot.
   StatusOr<Result> Run();
 
   const Schedule& schedule() const { return schedule_; }
   sim::StrategyDriver* driver() { return driver_.get(); }
-  /// Static classification, indexed by sequence (test introspection).
-  const std::vector<uint8_t>& exclusive_ops() const { return exclusive_; }
 
  private:
   explicit ViewServer(const Options& options) : options_(options) {}
 
-  /// Fills exclusive_ and admit_need_ from the schedule + strategy kind.
-  void ClassifyOps();
-
-  void WorkerLoop();
-  /// Executes op `i` with its shard bound. Returns false when the disk
-  /// crashed under the op (the server stops executing).
+  /// Executes op `i`. Returns false when the disk crashed under the op (the
+  /// server stops executing).
   bool ExecuteOp(size_t i);
-  /// Retires op `retired_` (exec_mu_ held): group-commit sync at batch
-  /// boundaries, shard merge, commit stamp, clock publish.
-  void RetireLocked();
-  /// Flips the buffer pool into concurrent-read mode when the next op to
-  /// retire is parallel (exec_mu_ held; no pins outstanding at this point).
-  void MaybeEnableConcurrentReadsLocked();
+  /// The group-commit step of retiring op `i`: one WAL sync at a batch
+  /// boundary. Returns false when the disk crashed under the sync.
+  bool SyncAtBatchBoundary(size_t i);
   /// Post-crash, post-recovery: replay recorded txn ids against the durable
   /// high-water mark; demote lost commits and everything that observed them.
   void ReconcileAfterRecovery();
@@ -204,33 +162,11 @@ class ViewServer {
   Options options_;
   std::unique_ptr<sim::StrategyDriver> driver_;
   Schedule schedule_;
-  LockManager locks_;
-  AtomicModelClock clock_;
+  ModelClock clock_;
 
-  /// Static per-op parallelism classification (1 = exclusive).
-  std::vector<uint8_t> exclusive_;
-  /// Admission threshold: op i may start once retired_ >= admit_need_[i]
-  /// (for an exclusive op this equals i — it runs alone).
-  std::vector<size_t> admit_need_;
-
-  // Execution state shared by the worker pool.
-  std::atomic<size_t> next_op_{0};
-  std::mutex exec_mu_;
-  std::condition_variable exec_cv_;
-  size_t acquire_turn_ = 0;  ///< locks are claimed in sequence order
-  size_t retired_ = 0;       ///< ops [0, retired_) merged and stamped
-  bool crashed_stop_ = false;
-  std::vector<uint8_t> done_;  ///< executed, awaiting retirement
-  std::vector<std::chrono::steady_clock::time_point> done_at_;
   size_t commits_in_batch_ = 0;
   uint64_t commit_batches_ = 0;
-  bool pool_concurrent_ = false;
 
-  /// Per-op cost shards; op i's worker binds op_shards_[i] while executing.
-  /// exec_mu_ (done-mark → retirement) publishes the writes to the merger.
-  std::vector<storage::CostShard> op_shards_;
-
-  // Mutated only by exclusive ops (which run alone) or under exec_mu_.
   sim::ShadowOracle exec_shadow_;
   storage::CostCounters baseline_;  ///< tracker counters after build
   std::vector<OpResult> results_;

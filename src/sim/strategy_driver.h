@@ -135,7 +135,7 @@ class StrategyDriver {
     /// durable high-water mark.
     bool group_commit = false;
     /// Buffer-pool frames. The default matches the historical hard-coded
-    /// pool; the scaling bench raises it for its larger scenario.
+    /// pool; bench_server's group-commit tables raise it to 256.
     size_t pool_pages = 128;
   };
 
@@ -190,8 +190,7 @@ class StrategyDriver {
   storage::FaultyDisk* disk() { return &disk_; }
   storage::BufferPool* pool() { return &pool_; }
   /// The driver-owned tracker (model clock + cost counters). The server
-  /// layer charges each op to a private CostShard (ShardScope) and merges
-  /// the shards in schedule order at retirement (MergeShard).
+  /// takes each op's cost as the tracker delta across it.
   storage::CostTracker* tracker() { return &tracker_; }
   db::Relation* base() { return rel_; }
   workload::Scenario* scenario() { return &scenario_; }

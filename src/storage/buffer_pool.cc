@@ -1,7 +1,5 @@
 #include "storage/buffer_pool.h"
 
-#include <atomic>
-
 #include "common/logging.h"
 #include "storage/wal.h"
 
@@ -118,17 +116,6 @@ StatusOr<uint32_t> BufferPool::AcquireFrame() {
 }
 
 StatusOr<PageGuard> BufferPool::Fetch(PageId id) {
-  if (concurrent_reads_.load(std::memory_order_acquire)) {
-    // Window invariant: the table is frozen (no inserts/evictions), so the
-    // lookup races with nothing; the pin count is the only mutable word.
-    const uint32_t f = FrameOf(id);
-    if (f == kNoFrame) {
-      return Status::Internal("buffer miss inside a concurrent-read window");
-    }
-    std::atomic_ref<uint32_t>(frames_[f].pin_count)
-        .fetch_add(1, std::memory_order_acq_rel);
-    return PageGuard(this, f, id);
-  }
   if (const uint32_t f = FrameOf(id); f != kNoFrame) {
     Frame& fr = frames_[f];
     if (fr.pin_count == 0) LruErase(f);
@@ -182,14 +169,6 @@ Status BufferPool::DeletePage(PageId id) {
 
 void BufferPool::Unpin(size_t frame, PageId id) {
   Frame& fr = frames_[frame];
-  if (concurrent_reads_.load(std::memory_order_acquire)) {
-    // The frame kept whatever LRU position it had when the window opened;
-    // dropping the pin must not re-link it or recency would depend on
-    // thread interleaving.
-    std::atomic_ref<uint32_t>(fr.pin_count)
-        .fetch_sub(1, std::memory_order_acq_rel);
-    return;
-  }
   VIEWMAT_CHECK(fr.in_use && fr.id == id && fr.pin_count > 0);
   if (--fr.pin_count == 0) LruPushBack(static_cast<uint32_t>(frame));
 }
@@ -228,15 +207,6 @@ Status BufferPool::DiscardAll() {
     free_frames_.push_back(i);
   }
   return Status::OK();
-}
-
-void BufferPool::SetConcurrentReads(bool on) {
-  // The mode may only flip at a barrier: every guard released, so the LRU
-  // list fully describes residency and survives the window untouched.
-  for (const Frame& fr : frames_) {
-    VIEWMAT_CHECK(!fr.in_use || fr.pin_count == 0);
-  }
-  concurrent_reads_.store(on, std::memory_order_release);
 }
 
 Status BufferPool::FlushAndEvictAll() {

@@ -1,7 +1,6 @@
 #ifndef VIEWMAT_STORAGE_BUFFER_POOL_H_
 #define VIEWMAT_STORAGE_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -89,19 +88,6 @@ class BufferPool {
   /// post-crash ghost. Fails if any page is still pinned.
   Status DiscardAll();
 
-  /// Toggles the concurrent-read window. While on, Fetch serves hits with an
-  /// atomic pin increment and no LRU maintenance, so any number of threads
-  /// may read resident pages concurrently; a miss is a hard Internal error
-  /// (callers flip the mode only at barrier points where the working set is
-  /// known resident), and NewPage/DeletePage/flushes are off-limits. Because
-  /// the mode is entered and left only with every pin released, the LRU list
-  /// is byte-identical before and after the window no matter how many
-  /// threads read — recency is deliberately NOT updated by concurrent reads.
-  void SetConcurrentReads(bool on);
-  bool concurrent_reads() const {
-    return concurrent_reads_.load(std::memory_order_acquire);
-  }
-
   size_t capacity() const { return capacity_; }
   DiskInterface* disk() { return disk_; }
 
@@ -172,7 +158,6 @@ class BufferPool {
   WriteAheadLog* wal_ = nullptr;
   Lsn stamp_lsn_ = 0;
   uint64_t wal_syncs_forced_ = 0;
-  std::atomic<bool> concurrent_reads_{false};
 };
 
 }  // namespace viewmat::storage

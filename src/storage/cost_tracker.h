@@ -161,37 +161,6 @@ struct AttributedCounters {
   }
 };
 
-class CostTracker;
-
-/// A thread-local accumulation buffer for one in-flight operation: the flat
-/// counters, the attribution matrix, and the component/phase tags that
-/// would otherwise live on the tracker itself. While a shard is bound to a
-/// tracker on a thread (ShardScope), every charge and tag swap made from
-/// that thread lands in the shard instead of the tracker, so any number of
-/// worker threads can execute read-only operations against shared storage
-/// structures concurrently without touching the tracker's single-owner
-/// state. Shards are merged back into the tracker in commit-LSN order
-/// (CostTracker::MergeShard), which reproduces, counter for counter, the
-/// totals a serial execution would have accumulated — the invariant the
-/// server's determinism tests pin down (Σ shards == tracker totals).
-///
-/// Cache-line aligned so per-worker shards in an array never false-share.
-struct alignas(64) CostShard {
-  CostCounters flat;
-  AttributedCounters attributed;
-  Component component = Component::kUnattributed;
-  Phase phase = Phase::kUnphased;
-
-  CostCounters& Cell() { return attributed.at(component, phase); }
-  /// Clears the charges and tags for reuse by the next operation.
-  void Reset() {
-    flat = CostCounters();
-    attributed = AttributedCounters();
-    component = Component::kUnattributed;
-    phase = Phase::kUnphased;
-  }
-};
-
 /// Accumulates operation counts and converts them to model milliseconds
 /// using the paper's unit costs. One tracker is shared by a SimulatedDisk
 /// and every component above it, so a workload run yields a single total
@@ -213,68 +182,33 @@ struct alignas(64) CostShard {
 /// be meaningless as well as racy). Debug builds assert the contract: the
 /// first charging thread claims the tracker, and any charge or tag swap
 /// from a different thread trips a VIEWMAT_DCHECK. Reset() releases the
-/// claim along with the counters; TransferOwnership() releases just the
-/// claim, the explicit handoff the server's serialized commit pipeline
-/// uses to move a tracker between worker threads one at a time.
-///
-/// Sharded mode is the one sanctioned extension of that contract: a worker
-/// thread that binds a CostShard (ShardScope) routes all of its charges and
-/// tag swaps into the shard — private to that thread — and the server
-/// merges shards back under its retirement mutex in commit-LSN order
-/// (MergeShard). The main counters are then only ever mutated under that
-/// mutex, which is what lets read-only operations physically overlap while
-/// every logical number stays byte-identical to the serial execution.
+/// claim along with the counters.
 class CostTracker : public obs::VirtualClock {
  public:
   CostTracker(double c1 = 1.0, double c2 = 30.0, double c3 = 1.0)
       : c1_(c1), c2_(c2), c3_(c3) {}
 
   void ChargeRead(uint64_t pages = 1) {
-    if (CostShard* s = ActiveShard()) {
-      s->flat.disk_reads += pages;
-      s->Cell().disk_reads += pages;
-      return;
-    }
     VIEWMAT_DCHECK(CalledByOwner());
     counters_.disk_reads += pages;
     Cell().disk_reads += pages;
   }
   void ChargeWrite(uint64_t pages = 1) {
-    if (CostShard* s = ActiveShard()) {
-      s->flat.disk_writes += pages;
-      s->Cell().disk_writes += pages;
-      return;
-    }
     VIEWMAT_DCHECK(CalledByOwner());
     counters_.disk_writes += pages;
     Cell().disk_writes += pages;
   }
   void ChargeScreen(uint64_t tuples = 1) {
-    if (CostShard* s = ActiveShard()) {
-      s->flat.screen_tests += tuples;
-      s->Cell().screen_tests += tuples;
-      return;
-    }
     VIEWMAT_DCHECK(CalledByOwner());
     counters_.screen_tests += tuples;
     Cell().screen_tests += tuples;
   }
   void ChargeTupleCpu(uint64_t tuples = 1) {
-    if (CostShard* s = ActiveShard()) {
-      s->flat.tuple_cpu_ops += tuples;
-      s->Cell().tuple_cpu_ops += tuples;
-      return;
-    }
     VIEWMAT_DCHECK(CalledByOwner());
     counters_.tuple_cpu_ops += tuples;
     Cell().tuple_cpu_ops += tuples;
   }
   void ChargeAdSetOp(uint64_t tuples = 1) {
-    if (CostShard* s = ActiveShard()) {
-      s->flat.ad_set_ops += tuples;
-      s->Cell().ad_set_ops += tuples;
-      return;
-    }
     VIEWMAT_DCHECK(CalledByOwner());
     counters_.ad_set_ops += tuples;
     Cell().ad_set_ops += tuples;
@@ -288,70 +222,20 @@ class CostTracker : public obs::VirtualClock {
     owner_.store(std::thread::id(), std::memory_order_relaxed);
   }
 
-  /// Releases the current thread's ownership claim without touching the
-  /// counters, so the next charging thread becomes the owner. This is the
-  /// explicit handoff that generalizes the single-owner contract to "one
-  /// thread at a time": the server layer's commit pipeline calls it at each
-  /// turn boundary, where an external mutex already serializes the old and
-  /// new owner (that mutex — not this relaxed store — provides the
-  /// happens-before edge for the counter values themselves). Calling it
-  /// while another thread may still charge concurrently is a contract
-  /// violation the DCHECK cannot catch.
-  void TransferOwnership() {
-    owner_.store(std::thread::id(), std::memory_order_relaxed);
-  }
-
   Component component() const { return component_; }
   Phase phase() const { return phase_; }
   /// Prefer ScopedComponent/ScopedPhase; these exist for the RAII guards.
-  /// With a shard bound on this thread the tags live on the shard, so
-  /// concurrent readers each carry their own attribution context.
   Component SwapComponent(Component c) {
-    if (CostShard* s = ActiveShard()) {
-      const Component prev = s->component;
-      s->component = c;
-      return prev;
-    }
     VIEWMAT_DCHECK(CalledByOwner());
     const Component prev = component_;
     component_ = c;
     return prev;
   }
   Phase SwapPhase(Phase p) {
-    if (CostShard* s = ActiveShard()) {
-      const Phase prev = s->phase;
-      s->phase = p;
-      return prev;
-    }
     VIEWMAT_DCHECK(CalledByOwner());
     const Phase prev = phase_;
     phase_ = p;
     return prev;
-  }
-
-  /// Folds one operation's shard into the tracker totals. The caller must
-  /// serialize merges externally (the server's commit pipeline holds its
-  /// retirement mutex) and must merge in commit-LSN order — charges are
-  /// additive, so in-order merges reproduce the serial execution's running
-  /// totals exactly. No ownership claim is taken: the external mutex, not
-  /// the owner CAS, provides the happens-before edges here.
-  void MergeShard(const CostShard& shard) {
-    counters_ += shard.flat;
-    attributed_ += shard.attributed;
-    published_ms_.store(Ms(counters_), std::memory_order_relaxed);
-  }
-
-  /// Enters/leaves sharded mode. While in sharded mode NowMs() serves the
-  /// model clock from an atomic published at each MergeShard — worker
-  /// threads may read the clock while another thread merges, and the main
-  /// counters are off-limits outside the retirement mutex. Call Begin after
-  /// the last direct charge and End after the last worker has exited.
-  void BeginShardedMode() {
-    published_ms_.store(Ms(counters_), std::memory_order_relaxed);
-    sharded_mode_.store(true, std::memory_order_release);
-  }
-  void EndShardedMode() {
-    sharded_mode_.store(false, std::memory_order_release);
   }
 
   /// Optional span tracer riding on this tracker (null = tracing off).
@@ -370,36 +254,15 @@ class CostTracker : public obs::VirtualClock {
   }
   /// Model milliseconds accumulated since construction or Reset().
   double TotalMs() const { return Ms(counters_); }
-  /// VirtualClock: the tracer's timestamps are model milliseconds. In
-  /// sharded mode the clock is the atomically published value from the
-  /// last shard merge (so any worker may read it race-free); otherwise it
-  /// is computed live from the single-owner counters.
-  double NowMs() const override {
-    if (sharded_mode_.load(std::memory_order_acquire)) {
-      return published_ms_.load(std::memory_order_relaxed);
-    }
-    return TotalMs();
-  }
+  /// VirtualClock: the tracer's timestamps are model milliseconds.
+  double NowMs() const override { return TotalMs(); }
 
   double c1() const { return c1_; }
   double c2() const { return c2_; }
   double c3() const { return c3_; }
 
  private:
-  friend class ShardScope;
-
   CostCounters& Cell() { return attributed_.at(component_, phase_); }
-
-  /// The shard bound to this tracker on the calling thread, or null. One
-  /// thread-local slot suffices: a thread executes against one tracker at
-  /// a time, and the tracker pointer check keeps concurrent simulations
-  /// with their own trackers (parallel sweeps) out of each other's shards.
-  CostShard* ActiveShard() const {
-    return tls_bound_tracker_ == this ? tls_shard_ : nullptr;
-  }
-
-  inline static thread_local CostShard* tls_shard_ = nullptr;
-  inline static thread_local const CostTracker* tls_bound_tracker_ = nullptr;
 
   /// True iff the calling thread owns this tracker. The first caller
   /// claims an unowned tracker (CAS from the default thread::id), so the
@@ -424,34 +287,6 @@ class CostTracker : public obs::VirtualClock {
   Phase phase_ = Phase::kUnphased;
   obs::Tracer* tracer_ = nullptr;
   std::atomic<std::thread::id> owner_{};  ///< default id until first charge
-  std::atomic<bool> sharded_mode_{false};
-  std::atomic<double> published_ms_{0.0};  ///< NowMs() while sharded
-};
-
-/// RAII binding of a CostShard to (tracker, calling thread): charges and
-/// tag swaps made on this thread while the scope is alive land in the
-/// shard. Restores the previous binding on destruction so scopes nest
-/// (e.g. a retirement-time charge inside a worker loop). The shard is not
-/// reset — callers Reset() it per operation so one per-worker shard can be
-/// reused across ops.
-class ShardScope {
- public:
-  ShardScope(CostTracker* tracker, CostShard* shard)
-      : prev_shard_(CostTracker::tls_shard_),
-        prev_tracker_(CostTracker::tls_bound_tracker_) {
-    CostTracker::tls_shard_ = shard;
-    CostTracker::tls_bound_tracker_ = tracker;
-  }
-  ~ShardScope() {
-    CostTracker::tls_shard_ = prev_shard_;
-    CostTracker::tls_bound_tracker_ = prev_tracker_;
-  }
-  ShardScope(const ShardScope&) = delete;
-  ShardScope& operator=(const ShardScope&) = delete;
-
- private:
-  CostShard* prev_shard_;
-  const CostTracker* prev_tracker_;
 };
 
 /// RAII component tag: charges made while alive are attributed to `c`.

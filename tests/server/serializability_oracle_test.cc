@@ -37,29 +37,46 @@ ViewServer::Options ComboOptions(int model, sim::StrategyKind kind) {
   return options;
 }
 
+ViewServer::Result MustRun(const ViewServer::Options& options) {
+  auto server = ViewServer::Create(options);
+  EXPECT_TRUE(server.ok()) << server.status().message();
+  auto result = (*server)->Run();
+  EXPECT_TRUE(result.ok()) << result.status().message();
+  return *result;
+}
+
 TEST(SerializabilityOracle, AllNineCombosAtOneFourAndEightWorkers) {
+  // Each combo is serializable, and two fresh runs of the same options
+  // agree op for op: the outcome is a function of the options alone.
   for (const auto& [model, kind] : AllCombos()) {
+    const ViewServer::Options options = ComboOptions(model, kind);
     std::string detail;
-    const Status st =
-        CheckSerializability(ComboOptions(model, kind), {1, 4, 8}, &detail);
+    const Status st = CheckSerializability(options, &detail);
     EXPECT_TRUE(st.ok()) << "model " << model << " strategy "
                          << sim::StrategyKindName(kind) << ": "
                          << st.message();
     EXPECT_NE(detail.find("serializable:"), std::string::npos);
+    const ViewServer::Result a = MustRun(options);
+    const ViewServer::Result b = MustRun(options);
+    ASSERT_EQ(a.ops.size(), b.ops.size());
+    for (size_t i = 0; i < a.ops.size(); ++i) {
+      EXPECT_EQ(a.ops[i].status, b.ops[i].status) << "op " << i;
+      EXPECT_TRUE(a.ops[i].cost == b.ops[i].cost) << "op " << i;
+    }
+    EXPECT_EQ(a.state_digest, b.state_digest);
   }
 }
 
 TEST(SerializabilityOracle, AllNineCombosWithGroupCommitOn) {
-  // The group-commit pipeline batches WAL syncs but must release commit
-  // LSNs in schedule-sequence order — so every combo stays serializable,
-  // with outcomes identical at 1, 4, and 8 workers, exactly as without
-  // batching.
+  // Group commit batches WAL syncs but releases commit LSNs in
+  // schedule-sequence order — so every combo stays serializable, exactly
+  // as without batching.
   for (const auto& [model, kind] : AllCombos()) {
     ViewServer::Options options = ComboOptions(model, kind);
     options.driver.group_commit = true;
     options.commit_batch = 3;
     std::string detail;
-    const Status st = CheckSerializability(options, {1, 4, 8}, &detail);
+    const Status st = CheckSerializability(options, &detail);
     EXPECT_TRUE(st.ok()) << "model " << model << " strategy "
                          << sim::StrategyKindName(kind)
                          << " (group commit): " << st.message();
@@ -70,8 +87,7 @@ TEST(SerializabilityOracle, AllNineCombosWithGroupCommitOn) {
 TEST(SerializabilityOracle, GroupCommitSurvivesScriptedCrashes) {
   // A crash can land between a batch's WAL appends and its single sync —
   // the unsynced tail must be rejected by recovery and reconciliation,
-  // and the surviving prefix must still replay serially, at every worker
-  // count.
+  // and the surviving prefix must still replay serially.
   for (const sim::StrategyKind kind :
        {sim::StrategyKind::kQueryModification, sim::StrategyKind::kImmediate,
         sim::StrategyKind::kDeferred}) {
@@ -81,7 +97,7 @@ TEST(SerializabilityOracle, GroupCommitSurvivesScriptedCrashes) {
       options.commit_batch = 4;
       options.crash_at_disk_op = crash_at;
       std::string detail;
-      const Status st = CheckSerializability(options, {1, 4, 8}, &detail);
+      const Status st = CheckSerializability(options, &detail);
       EXPECT_TRUE(st.ok()) << sim::StrategyKindName(kind) << " crash@"
                            << crash_at << " (group commit): "
                            << st.message();
@@ -91,14 +107,14 @@ TEST(SerializabilityOracle, GroupCommitSurvivesScriptedCrashes) {
 
 TEST(SerializabilityOracle, HighContentionWriteHeavySchedules) {
   // Two clients hammering updates over the same small key space maximizes
-  // write-write interval overlap — the worst case for the lock protocol.
+  // write-write interval overlap — the most logical conflicts per op.
   for (const sim::StrategyKind kind :
        {sim::StrategyKind::kImmediate, sim::StrategyKind::kDeferred}) {
     ViewServer::Options options = ComboOptions(1, kind);
     options.schedule.clients = 2;
     options.schedule.ops_per_client = 10;
     options.schedule.update_fraction = 0.9;
-    const Status st = CheckSerializability(options, {1, 8}, nullptr);
+    const Status st = CheckSerializability(options, nullptr);
     EXPECT_TRUE(st.ok()) << sim::StrategyKindName(kind) << ": "
                          << st.message();
   }
@@ -106,8 +122,8 @@ TEST(SerializabilityOracle, HighContentionWriteHeavySchedules) {
 
 TEST(SerializabilityOracle, SurvivesScriptedMidScheduleCrashes) {
   // Crash at several disk-op offsets: whatever prefix committed must still
-  // be serializable after recovery, at every worker count, with no stale
-  // or corrupt query answers.
+  // be serializable after recovery, with no stale or corrupt query
+  // answers.
   for (const sim::StrategyKind kind :
        {sim::StrategyKind::kQueryModification, sim::StrategyKind::kImmediate,
         sim::StrategyKind::kDeferred}) {
@@ -115,7 +131,7 @@ TEST(SerializabilityOracle, SurvivesScriptedMidScheduleCrashes) {
       ViewServer::Options options = ComboOptions(1, kind);
       options.crash_at_disk_op = crash_at;
       std::string detail;
-      const Status st = CheckSerializability(options, {1, 4, 8}, &detail);
+      const Status st = CheckSerializability(options, &detail);
       EXPECT_TRUE(st.ok()) << sim::StrategyKindName(kind) << " crash@"
                            << crash_at << ": " << st.message();
     }
@@ -126,7 +142,7 @@ TEST(SerializabilityOracle, CrashedModelTwoRunRecovers) {
   ViewServer::Options options =
       ComboOptions(2, sim::StrategyKind::kImmediate);
   options.crash_at_disk_op = 80;
-  const Status st = CheckSerializability(options, {1, 4}, nullptr);
+  const Status st = CheckSerializability(options, nullptr);
   EXPECT_TRUE(st.ok()) << st.message();
 }
 
@@ -138,12 +154,6 @@ TEST(SerialReplayDigest, RejectsMismatchedOpResults) {
   const std::vector<ViewServer::OpResult> wrong_size(3);
   EXPECT_FALSE(
       SerialReplayDigest(options, (*server)->schedule(), wrong_size).ok());
-}
-
-TEST(CheckSerializability, RejectsEmptyWorkerList) {
-  EXPECT_FALSE(CheckSerializability(
-                   ComboOptions(1, sim::StrategyKind::kImmediate), {}, nullptr)
-                   .ok());
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <string>
 
+#include "common/random.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/oracle.h"
@@ -13,8 +15,7 @@
 namespace viewmat::server {
 namespace {
 
-ViewServer::Options SmallOptions(sim::StrategyKind kind, int model,
-                                 size_t workers) {
+ViewServer::Options SmallOptions(sim::StrategyKind kind, int model) {
   ViewServer::Options options;
   options.driver.kind = kind;
   options.driver.model = model;
@@ -25,7 +26,6 @@ ViewServer::Options SmallOptions(sim::StrategyKind kind, int model,
   options.schedule.update_fraction = 0.6;
   options.schedule.abort_fraction = 0.2;
   options.schedule.seed = 1234;
-  options.workers = workers;
   return options;
 }
 
@@ -38,22 +38,15 @@ ViewServer::Result MustRun(const ViewServer::Options& options) {
 }
 
 TEST(ViewServerOptions, EachRejectionNamesItsField) {
-  ViewServer::Options options = SmallOptions(sim::StrategyKind::kDeferred, 1, 1);
-  options.workers = 0;
-  auto r = ViewServer::Create(options);
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("Options::workers"), std::string::npos)
-      << r.status().message();
-
-  options = SmallOptions(sim::StrategyKind::kDeferred, 1, 1);
+  ViewServer::Options options = SmallOptions(sim::StrategyKind::kDeferred, 1);
   options.schedule.clients = 0;
-  r = ViewServer::Create(options);
+  auto r = ViewServer::Create(options);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("Options::schedule.clients"),
             std::string::npos)
       << r.status().message();
 
-  options = SmallOptions(sim::StrategyKind::kDeferred, 1, 1);
+  options = SmallOptions(sim::StrategyKind::kDeferred, 1);
   options.schedule.ops_per_client = 0;
   r = ViewServer::Create(options);
   ASSERT_FALSE(r.ok());
@@ -61,7 +54,7 @@ TEST(ViewServerOptions, EachRejectionNamesItsField) {
             std::string::npos)
       << r.status().message();
 
-  options = SmallOptions(sim::StrategyKind::kDeferred, 1, 1);
+  options = SmallOptions(sim::StrategyKind::kDeferred, 1);
   options.driver.group_commit = true;
   options.commit_batch = 0;
   r = ViewServer::Create(options);
@@ -71,20 +64,20 @@ TEST(ViewServerOptions, EachRejectionNamesItsField) {
       << r.status().message();
 
   // commit_batch = 0 without group commit is unused and therefore legal.
-  options = SmallOptions(sim::StrategyKind::kDeferred, 1, 1);
+  options = SmallOptions(sim::StrategyKind::kDeferred, 1);
   options.commit_batch = 0;
   EXPECT_TRUE(ViewServer::Create(options).ok());
 }
 
 TEST(Schedule, IsDeterministicAndClientLocal) {
   auto server = ViewServer::Create(
-      SmallOptions(sim::StrategyKind::kDeferred, 1, 1));
+      SmallOptions(sim::StrategyKind::kDeferred, 1));
   ASSERT_TRUE(server.ok());
   auto again = ViewServer::Create(
-      SmallOptions(sim::StrategyKind::kImmediate, 1, 8));
+      SmallOptions(sim::StrategyKind::kImmediate, 1));
   ASSERT_TRUE(again.ok());
   // Same schedule seed → same interleaving, victims, ranges, and lock
-  // sets, regardless of strategy or worker count.
+  // sets, regardless of strategy.
   const Schedule& a = (*server)->schedule();
   const Schedule& b = (*again)->schedule();
   ASSERT_EQ(a.ops.size(), b.ops.size());
@@ -101,7 +94,7 @@ TEST(Schedule, IsDeterministicAndClientLocal) {
 
 TEST(Schedule, ReaderLocksAreClippedToTheScreen) {
   auto server = ViewServer::Create(
-      SmallOptions(sim::StrategyKind::kQueryModification, 1, 1));
+      SmallOptions(sim::StrategyKind::kQueryModification, 1));
   ASSERT_TRUE(server.ok());
   const int64_t f_cut = (*server)->driver()->scenario()->ViewTupleCount();
   for (const ScheduledOp& op : (*server)->schedule().ops) {
@@ -118,29 +111,89 @@ TEST(Schedule, ReaderLocksAreClippedToTheScreen) {
   }
 }
 
+db::IntervalSet Keys(int64_t lo, int64_t hi) {
+  return db::IntervalSet(db::Interval{lo, hi});
+}
+
+LockSet One(uint32_t rel, LockMode mode, int64_t lo, int64_t hi) {
+  return {LockRequest{rel, mode, Keys(lo, hi)}};
+}
+
+TEST(LockCompatibility, SharedSharedNeverConflicts) {
+  EXPECT_FALSE(Conflicts(One(0, LockMode::kShared, 0, 10),
+                         One(0, LockMode::kShared, 0, 10)));
+}
+
+TEST(LockCompatibility, SharedExclusiveConflictsWhenIntervalsIntersect) {
+  EXPECT_TRUE(Conflicts(One(0, LockMode::kShared, 0, 10),
+                        One(0, LockMode::kExclusive, 10, 20)));
+  EXPECT_TRUE(Conflicts(One(0, LockMode::kExclusive, 5, 5),
+                        One(0, LockMode::kShared, 0, 10)));
+}
+
+TEST(LockCompatibility, ExclusiveExclusiveConflictsWhenIntervalsIntersect) {
+  EXPECT_TRUE(Conflicts(One(0, LockMode::kExclusive, 3, 7),
+                        One(0, LockMode::kExclusive, 7, 9)));
+}
+
+TEST(LockCompatibility, DisjointIntervalsNeverConflict) {
+  EXPECT_FALSE(Conflicts(One(0, LockMode::kExclusive, 0, 4),
+                         One(0, LockMode::kExclusive, 5, 9)));
+  EXPECT_FALSE(Conflicts(One(0, LockMode::kShared, 0, 4),
+                         One(0, LockMode::kExclusive, 5, 9)));
+}
+
+TEST(LockCompatibility, DifferentRelationsNeverConflict) {
+  EXPECT_TRUE(Conflicts(One(0, LockMode::kExclusive, 0, 10),
+                        One(0, LockMode::kExclusive, 0, 10)));
+  EXPECT_FALSE(Conflicts(One(0, LockMode::kExclusive, 0, 10),
+                         One(1, LockMode::kExclusive, 0, 10)));
+}
+
+TEST(LockCompatibility, TLockScreeningCutsReaderWriterConflicts) {
+  // The t-lock derivation in miniature: a view screens keys < 8, so a
+  // reader locks (range ∩ screen). A writer updating key 9 — outside the
+  // screen — cannot conflict with any view reader, even one whose raw
+  // query range covered key 9.
+  const db::IntervalSet screen = Keys(0, 7);
+  const db::IntervalSet range = Keys(5, 12);
+  const LockSet reader = {LockRequest{
+      0, LockMode::kShared, db::IntervalSet::Intersect(screen, range)}};
+  EXPECT_FALSE(Conflicts(reader, One(0, LockMode::kExclusive, 9, 9)));
+  EXPECT_TRUE(Conflicts(reader, One(0, LockMode::kExclusive, 7, 7)));
+}
+
+TEST(LockCompatibility, EmptyIntervalSetLocksNothing) {
+  const LockSet empty = {
+      LockRequest{0, LockMode::kExclusive, db::IntervalSet::Empty()}};
+  EXPECT_FALSE(Conflicts(empty, One(0, LockMode::kExclusive, 0, 100)));
+}
+
 TEST(ViewServer, OutcomesAndDigestAreWorkerCountInvariant) {
-  const ViewServer::Result one =
-      MustRun(SmallOptions(sim::StrategyKind::kDeferred, 1, 1));
-  const ViewServer::Result four =
-      MustRun(SmallOptions(sim::StrategyKind::kDeferred, 1, 4));
-  ASSERT_EQ(one.ops.size(), four.ops.size());
-  for (size_t i = 0; i < one.ops.size(); ++i) {
-    EXPECT_EQ(one.ops[i].status, four.ops[i].status) << "op " << i;
-    EXPECT_TRUE(one.ops[i].cost == four.ops[i].cost) << "op " << i;
-    EXPECT_DOUBLE_EQ(one.ops[i].commit_ms, four.ops[i].commit_ms);
-    EXPECT_DOUBLE_EQ(one.ops[i].logical_wait_ms, four.ops[i].logical_wait_ms);
+  // Two fresh runs of the same options agree op for op.
+  const ViewServer::Result first =
+      MustRun(SmallOptions(sim::StrategyKind::kDeferred, 1));
+  const ViewServer::Result second =
+      MustRun(SmallOptions(sim::StrategyKind::kDeferred, 1));
+  ASSERT_EQ(first.ops.size(), second.ops.size());
+  for (size_t i = 0; i < first.ops.size(); ++i) {
+    EXPECT_EQ(first.ops[i].status, second.ops[i].status) << "op " << i;
+    EXPECT_TRUE(first.ops[i].cost == second.ops[i].cost) << "op " << i;
+    EXPECT_DOUBLE_EQ(first.ops[i].commit_ms, second.ops[i].commit_ms);
+    EXPECT_DOUBLE_EQ(first.ops[i].logical_wait_ms,
+                     second.ops[i].logical_wait_ms);
   }
-  EXPECT_EQ(one.state_digest, four.state_digest);
-  EXPECT_EQ(one.committed, four.committed);
-  EXPECT_EQ(one.aborted, four.aborted);
-  EXPECT_DOUBLE_EQ(one.model_ms, four.model_ms);
-  EXPECT_DOUBLE_EQ(one.logical_wait_ms, four.logical_wait_ms);
-  EXPECT_EQ(one.logical_conflicts, four.logical_conflicts);
+  EXPECT_EQ(first.state_digest, second.state_digest);
+  EXPECT_EQ(first.committed, second.committed);
+  EXPECT_EQ(first.aborted, second.aborted);
+  EXPECT_DOUBLE_EQ(first.model_ms, second.model_ms);
+  EXPECT_DOUBLE_EQ(first.logical_wait_ms, second.logical_wait_ms);
+  EXPECT_EQ(first.logical_conflicts, second.logical_conflicts);
 }
 
 TEST(ViewServer, HealthyRunsAnswerEveryQueryExactly) {
   const ViewServer::Result result =
-      MustRun(SmallOptions(sim::StrategyKind::kImmediate, 1, 4));
+      MustRun(SmallOptions(sim::StrategyKind::kImmediate, 1));
   EXPECT_EQ(result.queries_stale, 0u);
   EXPECT_EQ(result.queries_failed, 0u);
   EXPECT_EQ(result.skipped, 0u);
@@ -153,10 +206,10 @@ TEST(ViewServer, HealthyRunsAnswerEveryQueryExactly) {
 }
 
 TEST(ViewServer, PerTxnCostContextsPartitionTheModelTime) {
-  // The cost-context merge invariant: per-op deltas, merged in commit
-  // order, reproduce the tracker's schedule-time totals exactly.
+  // Per-op cost deltas partition the tracker's schedule-time totals
+  // exactly.
   const ViewServer::Result result =
-      MustRun(SmallOptions(sim::StrategyKind::kDeferred, 1, 4));
+      MustRun(SmallOptions(sim::StrategyKind::kDeferred, 1));
   storage::CostTracker pricing;  // same default unit costs as the driver
   EXPECT_DOUBLE_EQ(pricing.Ms(result.total_cost), result.model_ms);
   // Aborted transactions never touch storage: their contexts are empty.
@@ -169,7 +222,7 @@ TEST(ViewServer, PerTxnCostContextsPartitionTheModelTime) {
 
 TEST(ViewServer, AllAbortScheduleLeavesStatePristine) {
   ViewServer::Options options =
-      SmallOptions(sim::StrategyKind::kImmediate, 1, 2);
+      SmallOptions(sim::StrategyKind::kImmediate, 1);
   options.schedule.update_fraction = 1.0;
   options.schedule.abort_fraction = 1.0;
   const ViewServer::Result aborted = MustRun(options);
@@ -188,12 +241,11 @@ TEST(ViewServer, EmitsSpansAndMetrics) {
   obs::MetricsRegistry metrics;
   obs::Tracer tracer;
   ViewServer::Options options =
-      SmallOptions(sim::StrategyKind::kDeferred, 1, 2);
+      SmallOptions(sim::StrategyKind::kDeferred, 1);
   options.metrics = &metrics;
   options.tracer = &tracer;
   const ViewServer::Result result = MustRun(options);
-  // One server.txn / server.query root span per executed op (lock.wait
-  // spans are timing-dependent extras nested under none of them).
+  // One server.txn / server.query root span per executed op.
   size_t roots = 0;
   for (const obs::Span& span : tracer.spans()) {
     if (span.name == "server.txn" || span.name == "server.query") ++roots;
@@ -205,7 +257,7 @@ TEST(ViewServer, EmitsSpansAndMetrics) {
 
 TEST(ViewServer, ModelTwoJoinViewServes) {
   const ViewServer::Result result =
-      MustRun(SmallOptions(sim::StrategyKind::kQueryModification, 2, 4));
+      MustRun(SmallOptions(sim::StrategyKind::kQueryModification, 2));
   EXPECT_EQ(result.queries_stale, 0u);
   EXPECT_EQ(result.queries_failed, 0u);
   EXPECT_GT(result.queries_exact, 0u);
@@ -213,7 +265,7 @@ TEST(ViewServer, ModelTwoJoinViewServes) {
 
 TEST(ViewServer, CrashMidScheduleRecoversPrefixConsistent) {
   ViewServer::Options options =
-      SmallOptions(sim::StrategyKind::kImmediate, 1, 4);
+      SmallOptions(sim::StrategyKind::kImmediate, 1);
   options.schedule.ops_per_client = 6;
   options.crash_at_disk_op = 40;  // lands inside the schedule
   const ViewServer::Result result = MustRun(options);
@@ -222,7 +274,7 @@ TEST(ViewServer, CrashMidScheduleRecoversPrefixConsistent) {
   EXPECT_EQ(result.queries_stale, 0u);
   // The recovered state must equal the serial order of what committed.
   std::string detail;
-  const Status st = CheckSerializability(options, {1, 2, 4}, &detail);
+  const Status st = CheckSerializability(options, &detail);
   EXPECT_TRUE(st.ok()) << st.message();
 }
 
@@ -263,7 +315,7 @@ TEST(ViewServer, LogicalConflictsComeFromLockIntersections) {
   // A 2-client all-writer schedule, seed pinned to one whose adjacent
   // cross-client write sets provably intersect (3 ww edges).
   ViewServer::Options options =
-      SmallOptions(sim::StrategyKind::kImmediate, 1, 2);
+      SmallOptions(sim::StrategyKind::kImmediate, 1);
   options.schedule.clients = 2;
   options.schedule.ops_per_client = 8;
   options.schedule.update_fraction = 1.0;
@@ -277,32 +329,30 @@ TEST(ViewServer, LogicalConflictsComeFromLockIntersections) {
 }
 
 TEST(ViewServer, ContentionProfilesKeepOutcomesWorkerCountInvariant) {
-  // The scaling bench's core claim, pinned as a test: whatever the
-  // contention geometry, the logical artifact may not move with the
-  // worker count.
+  // Whatever the contention geometry, two fresh runs of the same options
+  // agree op for op.
   for (const ContentionProfile profile :
        {ContentionProfile::kDisjoint, ContentionProfile::kHotRange,
         ContentionProfile::kUniform}) {
     ViewServer::Options base =
-        SmallOptions(sim::StrategyKind::kDeferred, 1, 1);
+        SmallOptions(sim::StrategyKind::kDeferred, 1);
     base.schedule.contention = profile;
     base.driver.group_commit = true;
     base.commit_batch = 3;
-    const ViewServer::Result one = MustRun(base);
-    base.workers = 8;
-    const ViewServer::Result eight = MustRun(base);
-    ASSERT_EQ(one.ops.size(), eight.ops.size());
-    for (size_t i = 0; i < one.ops.size(); ++i) {
-      EXPECT_EQ(one.ops[i].status, eight.ops[i].status)
+    const ViewServer::Result first = MustRun(base);
+    const ViewServer::Result second = MustRun(base);
+    ASSERT_EQ(first.ops.size(), second.ops.size());
+    for (size_t i = 0; i < first.ops.size(); ++i) {
+      EXPECT_EQ(first.ops[i].status, second.ops[i].status)
           << ContentionProfileName(profile) << " op " << i;
-      EXPECT_TRUE(one.ops[i].cost == eight.ops[i].cost)
+      EXPECT_TRUE(first.ops[i].cost == second.ops[i].cost)
           << ContentionProfileName(profile) << " op " << i;
-      EXPECT_DOUBLE_EQ(one.ops[i].commit_ms, eight.ops[i].commit_ms);
+      EXPECT_DOUBLE_EQ(first.ops[i].commit_ms, second.ops[i].commit_ms);
     }
-    EXPECT_EQ(one.state_digest, eight.state_digest)
+    EXPECT_EQ(first.state_digest, second.state_digest)
         << ContentionProfileName(profile);
-    EXPECT_EQ(one.commit_batches, eight.commit_batches);
-    EXPECT_DOUBLE_EQ(one.model_ms, eight.model_ms);
+    EXPECT_EQ(first.commit_batches, second.commit_batches);
+    EXPECT_DOUBLE_EQ(first.model_ms, second.model_ms);
   }
 }
 
@@ -310,7 +360,7 @@ TEST(ViewServer, UniformProfileReproducesTheHistoricalSchedule) {
   // kUniform must draw the exact pre-profile RNG stream: old seeds keep
   // their schedules byte-for-byte, so committed baselines stay valid.
   ViewServer::Options options =
-      SmallOptions(sim::StrategyKind::kDeferred, 1, 1);
+      SmallOptions(sim::StrategyKind::kDeferred, 1);
   ASSERT_EQ(options.schedule.contention, ContentionProfile::kUniform);
   const ViewServer::Result result = MustRun(options);
   EXPECT_GT(result.committed, 0u);  // same seed 1234 schedule as ever
@@ -318,7 +368,7 @@ TEST(ViewServer, UniformProfileReproducesTheHistoricalSchedule) {
 
 TEST(ViewServer, DisjointProfilePartitionsClientsOntoDisjointLockSets) {
   ViewServer::Options options =
-      SmallOptions(sim::StrategyKind::kImmediate, 1, 4);
+      SmallOptions(sim::StrategyKind::kImmediate, 1);
   options.schedule.clients = 4;
   options.schedule.ops_per_client = 6;
   options.schedule.contention = ContentionProfile::kDisjoint;
@@ -342,7 +392,7 @@ TEST(ViewServer, DisjointProfilePartitionsClientsOntoDisjointLockSets) {
 
 TEST(ViewServer, HotRangeProfileConfinesClientsToThePrefix) {
   ViewServer::Options options =
-      SmallOptions(sim::StrategyKind::kImmediate, 1, 1);
+      SmallOptions(sim::StrategyKind::kImmediate, 1);
   options.schedule.contention = ContentionProfile::kHotRange;
   auto server = ViewServer::Create(options);
   ASSERT_TRUE(server.ok());
@@ -363,7 +413,7 @@ TEST(ViewServer, HotRangeProfileConfinesClientsToThePrefix) {
 
 TEST(ViewServer, GroupCommitBatchesRetirementSyncs) {
   ViewServer::Options options =
-      SmallOptions(sim::StrategyKind::kDeferred, 1, 4);
+      SmallOptions(sim::StrategyKind::kDeferred, 1);
   options.schedule.clients = 4;
   options.schedule.ops_per_client = 8;
   options.schedule.update_fraction = 0.8;
@@ -382,32 +432,153 @@ TEST(ViewServer, GroupCommitBatchesRetirementSyncs) {
 TEST(ViewServer, GroupCommitCrashReconcilesTheUnsyncedTail) {
   // Crash with batches in flight: recovery may only keep transactions
   // whose batch sync made it to the platter; everything after is demoted,
-  // identically at every worker count, and the survivors replay serially.
+  // identically in two fresh runs, and the survivors replay serially.
   ViewServer::Options options =
-      SmallOptions(sim::StrategyKind::kDeferred, 1, 1);
+      SmallOptions(sim::StrategyKind::kDeferred, 1);
   options.schedule.clients = 4;
   options.schedule.ops_per_client = 6;
   options.driver.group_commit = true;
   options.commit_batch = 4;
   options.crash_at_disk_op = 40;
-  const ViewServer::Result one = MustRun(options);
-  EXPECT_TRUE(one.crashed);
-  EXPECT_GE(one.recoveries, 1u);
-  options.workers = 4;
-  const ViewServer::Result four = MustRun(options);
-  ASSERT_EQ(one.ops.size(), four.ops.size());
-  for (size_t i = 0; i < one.ops.size(); ++i) {
-    EXPECT_EQ(one.ops[i].status, four.ops[i].status) << "op " << i;
+  const ViewServer::Result first = MustRun(options);
+  EXPECT_TRUE(first.crashed);
+  EXPECT_GE(first.recoveries, 1u);
+  const ViewServer::Result second = MustRun(options);
+  ASSERT_EQ(first.ops.size(), second.ops.size());
+  for (size_t i = 0; i < first.ops.size(); ++i) {
+    EXPECT_EQ(first.ops[i].status, second.ops[i].status) << "op " << i;
   }
-  EXPECT_EQ(one.state_digest, four.state_digest);
+  EXPECT_EQ(first.state_digest, second.state_digest);
   std::string detail;
-  const Status oracle = CheckSerializability(options, {1, 2, 4}, &detail);
+  const Status oracle = CheckSerializability(options, &detail);
   EXPECT_TRUE(oracle.ok()) << oracle.message();
+}
+
+/// Deferred Model 1 under group commit (batches of 4): 8 clients × 12 ops
+/// over a 256-frame pool, in one contention profile — the options of
+/// bench_server's `server group-commit <profile>` tables.
+ViewServer::Options GroupCommitOptions(ContentionProfile profile) {
+  ViewServer::Options options;
+  options.driver.kind = sim::StrategyKind::kDeferred;
+  options.driver.model = 1;
+  options.driver.params = sim::TortureParams(costmodel::Params());
+  options.driver.seed = 17;
+  options.driver.group_commit = true;
+  options.driver.pool_pages = 256;
+  options.schedule.clients = 8;
+  options.schedule.ops_per_client = 12;
+  options.schedule.update_fraction = 0.5;
+  options.schedule.abort_fraction = 0.1;
+  options.schedule.seed = 4242;
+  options.schedule.contention = profile;
+  options.commit_batch = 4;
+  return options;
+}
+
+/// One SplitMix64 fold of every op's status, transaction id, five cost
+/// counters and commit stamp (its bits).
+uint64_t OutcomeFold(const ViewServer::Result& result) {
+  uint64_t h = 0;
+  for (const ViewServer::OpResult& op : result.ops) {
+    for (const uint64_t word :
+         {static_cast<uint64_t>(op.status), op.txn_id, op.cost.disk_reads,
+          op.cost.disk_writes, op.cost.screen_tests, op.cost.tuple_cpu_ops,
+          op.cost.ad_set_ops, std::bit_cast<uint64_t>(op.commit_ms)}) {
+      h = SplitMix64(h ^ word);
+    }
+  }
+  return h;
+}
+
+TEST(ViewServer, PerOpOutcomesArePinned) {
+  // Every logical number the executor produces, pinned to the values the
+  // schedule-order execution gave when they were recorded: a change to the
+  // op loop, the group-commit sync or the retirement stamp moves a fold.
+  struct Pinned {
+    const char* name;
+    ViewServer::Options options;
+    uint64_t fold;
+    uint64_t commit_batches;
+    double model_ms;
+    uint64_t state_digest;
+  };
+  ViewServer::Options crash = SmallOptions(sim::StrategyKind::kDeferred, 1);
+  crash.schedule.clients = 4;
+  crash.schedule.ops_per_client = 6;
+  crash.driver.group_commit = true;
+  crash.commit_batch = 4;
+  crash.crash_at_disk_op = 40;
+  const Pinned pinned[] = {
+      {"disjoint", GroupCommitOptions(ContentionProfile::kDisjoint),
+       0xcd64c4129cf3cf2bull, 12, 15314.0, 0x7a2f3cec009c6d2full},
+      {"hot-range", GroupCommitOptions(ContentionProfile::kHotRange),
+       0x3e928c5bed8373b3ull, 12, 13118.0, 0x84870f2dbca4f14dull},
+      {"uniform", GroupCommitOptions(ContentionProfile::kUniform),
+       0x84bf5a771d2adc25ull, 12, 17658.0, 0x6dec0100af3d0295ull},
+      {"group-commit crash", crash, 0xa16c41b3dae88cd8ull, 1, 1156.0,
+       0x734d8b1006eaf8c6ull},
+  };
+  for (const Pinned& p : pinned) {
+    const ViewServer::Result result = MustRun(p.options);
+    EXPECT_EQ(OutcomeFold(result), p.fold) << p.name;
+    EXPECT_EQ(result.commit_batches, p.commit_batches) << p.name;
+    EXPECT_DOUBLE_EQ(result.model_ms, p.model_ms) << p.name;
+    EXPECT_EQ(result.state_digest, p.state_digest) << p.name;
+  }
+}
+
+TEST(ViewServer, StaleAnswersAreReported) {
+  // A commit the schedule does not know about makes every answer that
+  // covers its key disagree with the expected one; the server must say so.
+  auto server = ViewServer::Create(
+      SmallOptions(sim::StrategyKind::kImmediate, 1));
+  ASSERT_TRUE(server.ok());
+  const Schedule& schedule = (*server)->schedule();
+  sim::StrategyDriver* driver = (*server)->driver();
+  const int64_t f_cut = driver->scenario()->ViewTupleCount();
+  const auto updated = [&schedule](int64_t key) {
+    for (const ScheduledOp& op : schedule.ops) {
+      for (const auto& [victim, value] : op.victims) {
+        if (victim == key) return true;
+      }
+    }
+    return false;
+  };
+  int64_t key = -1;
+  for (const ScheduledOp& op : schedule.ops) {
+    if (op.kind != OpKind::kQuery) continue;
+    for (int64_t k = std::max<int64_t>(op.lo, 0);
+         key < 0 && k <= std::min(op.hi, f_cut - 1); ++k) {
+      if (!updated(k)) key = k;
+    }
+    if (key >= 0) break;
+  }
+  ASSERT_GE(key, 0) << "no query covers a view key the schedule never updates";
+
+  const sim::ShadowOracle shadow = sim::MakeShadow(*driver->scenario());
+  sim::StagedTxn staged(shadow, driver->base());
+  staged.Set(key, shadow.v[key] + 1.0);
+  ASSERT_TRUE(driver->OnTransaction(staged.txn()).ok());
+
+  auto result = (*server)->Run();
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  size_t stale = 0;
+  for (size_t i = 0; i < schedule.ops.size(); ++i) {
+    const ScheduledOp& op = schedule.ops[i];
+    if (op.kind != OpKind::kQuery) continue;
+    const bool covers = op.lo <= key && key <= op.hi;
+    EXPECT_EQ(result->ops[i].status,
+              covers ? OpStatus::kQueryStale : OpStatus::kQueryExact)
+        << "op " << i << " [" << op.lo << ", " << op.hi << "] key " << key;
+    stale += covers ? 1 : 0;
+  }
+  EXPECT_GT(stale, 0u);
+  EXPECT_EQ(result->queries_stale, stale);
 }
 
 TEST(ViewServer, RunIsOneShot) {
   auto server = ViewServer::Create(
-      SmallOptions(sim::StrategyKind::kQueryModification, 1, 1));
+      SmallOptions(sim::StrategyKind::kQueryModification, 1));
   ASSERT_TRUE(server.ok());
   ASSERT_TRUE((*server)->Run().ok());
   EXPECT_FALSE((*server)->Run().ok());

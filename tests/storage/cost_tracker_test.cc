@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "obs/trace.h"
 
 namespace viewmat::storage {
@@ -122,23 +120,6 @@ TEST(CostTracker, IsTheTracersModelClock) {
   ASSERT_EQ(tracer.span_count(), 1u);
   EXPECT_DOUBLE_EQ(tracer.spans()[0].begin_ms, 0.0);
   EXPECT_DOUBLE_EQ(tracer.spans()[0].end_ms, 31.0);
-}
-
-TEST(CostTracker, TransferOwnershipHandsTheTrackerToAnotherThread) {
-  // Serialized handoff: the main thread charges, releases its claim, and a
-  // second thread charges next. Without TransferOwnership() the second
-  // thread's charge would trip the single-owner DCHECK in debug builds.
-  CostTracker tracker;
-  tracker.ChargeRead();
-  tracker.TransferOwnership();
-  std::thread other([&tracker] {
-    tracker.ChargeWrite(2);
-    tracker.TransferOwnership();
-  });
-  other.join();
-  tracker.ChargeRead(3);  // main thread re-claims after the join
-  EXPECT_EQ(tracker.counters().disk_reads, 4u);
-  EXPECT_EQ(tracker.counters().disk_writes, 2u);
 }
 
 TEST(CostTracker, AttributionNeverChangesModelMilliseconds) {
