@@ -11,11 +11,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "costmodel/yao.h"
@@ -65,46 +63,6 @@ double NsPerOp(int iters, Fn fn) {
     const auto t1 = std::chrono::steady_clock::now();
     samples.push_back(
         std::chrono::duration<double, std::nano>(t1 - t0).count() / iters);
-  }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
-/// False-sharing micro-measurement: `threads` workers each hammer their
-/// own counter slot. Packed slots share cache lines; padded slots
-/// (alignas(64), one per line) do not. On multi-core hardware the packed
-/// variant is several times slower from line bouncing — the measured gap
-/// is why MetricsRegistry pads its shards to cache-line size. On a
-/// single hardware thread the two converge (no cross-core traffic), and
-/// the note reports whatever this machine actually measured.
-double SharedCounterNsPerOp(bool padded, unsigned threads, int iters) {
-  struct PackedSlot {
-    std::atomic<uint64_t> v{0};
-  };
-  struct alignas(64) PaddedSlot {
-    std::atomic<uint64_t> v{0};
-  };
-  std::vector<double> samples;
-  for (int rep = 0; rep < 5; ++rep) {
-    std::vector<PackedSlot> packed_slots(threads);
-    std::vector<PaddedSlot> padded_slots(threads);
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    const auto t0 = std::chrono::steady_clock::now();
-    for (unsigned t = 0; t < threads; ++t) {
-      workers.emplace_back([&, t] {
-        std::atomic<uint64_t>& slot =
-            padded ? padded_slots[t].v : packed_slots[t].v;
-        for (int i = 0; i < iters; ++i) {
-          slot.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration<double, std::nano>(t1 - t0).count() /
-        (static_cast<double>(threads) * iters));
   }
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
@@ -168,25 +126,6 @@ int main(int argc, char** argv) {
                   null_span_ns - approx_ns, approx_ns);
     report.AddNote("null_span_overhead", overhead);
     std::printf("disabled-tracer span overhead: %s\n", overhead);
-
-    // Per-thread counter slots, packed vs cache-line padded — the
-    // measurement behind MetricsRegistry's alignas(64) shards. Wall-clock
-    // ns on whatever this machine is, so it goes in the execution block,
-    // not the gated notes.
-    const unsigned fs_threads = 4;
-    const int fs_iters = cli.quick ? 50000 : 500000;
-    const double packed_ns =
-        SharedCounterNsPerOp(/*padded=*/false, fs_threads, fs_iters);
-    const double padded_ns =
-        SharedCounterNsPerOp(/*padded=*/true, fs_threads, fs_iters);
-    char fs_note[160];
-    std::snprintf(fs_note, sizeof(fs_note),
-                  "packed=%.2f padded=%.2f ns/inc at %u threads (x%.2f) — "
-                  "why MetricsRegistry pads shards to 64B lines",
-                  packed_ns, padded_ns, fs_threads,
-                  padded_ns > 0 ? packed_ns / padded_ns : 1.0);
-    report.AddExecutionNote("false_sharing", fs_note);
-    std::printf("false sharing: %s\n", fs_note);
     return sim::FinishBenchMain(cli, &report);
   }
 

@@ -5,9 +5,12 @@
 # crash-safety torture and recovery labels (the torture label includes the
 # exhaustive crash-point sweep: one crashed run per disk operation for every
 # maintenance strategy) and the wire-protocol chaos label, then a
-# thread-sanitized build running the concurrency suites (tsan label) and the
-# chaos suites again under TSan. The full lane also runs the wall-clock
-# benchmark's self-check (perfbench/selfcheck.py).
+# thread-sanitized build running the suites that start threads (tsan label:
+# the ParallelFor runner and the owner check) and the chaos suites again
+# under TSan. The observability sinks are single-owner and their suites
+# start no thread, so they run in the plain and ASan lanes only. The full
+# lane also runs the bench_diff gate against all five committed baselines
+# and the wall-clock benchmark's self-check (perfbench/selfcheck.py).
 #
 # Usage: scripts/check.sh [--quick]
 #   --quick   plain build only (skip the sanitizer builds, torture label and
@@ -40,6 +43,10 @@ echo "== bench regression gate (bench_diff vs committed baselines) =="
   --jobs "$jobs" >/dev/null
 ./build/bench/bench_diff BENCH_sim_validation.json \
   build/BENCH_sim_validation.new.json --threshold 5%
+./build/bench/bench_sim_sweeps --json build/BENCH_sim_sweeps.new.json \
+  --jobs "$jobs" >/dev/null
+./build/bench/bench_diff BENCH_sim_sweeps.json \
+  build/BENCH_sim_sweeps.new.json --threshold 5%
 ./build/bench/bench_fault_sweep --json build/BENCH_fault_sweep.new.json \
   --jobs "$jobs" >/dev/null
 ./build/bench/bench_diff BENCH_fault_sweep.json \
@@ -77,7 +84,7 @@ ctest --test-dir build-asan --output-on-failure -L chaos
 echo "== thread-sanitized build =="
 cmake -S . -B build-tsan -DVIEWMAT_SANITIZE="thread" >/dev/null
 cmake --build build-tsan -j "$jobs"
-echo "== thread-sanitized concurrency suites (tsan label) =="
+echo "== thread-sanitized thread-starting suites (tsan label) =="
 ctest --test-dir build-tsan --output-on-failure -L tsan
 echo "== thread-sanitized chaos suites (oracle fan-out under TSan) =="
 ctest --test-dir build-tsan --output-on-failure -L chaos

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Exact-sameness check for refactors: builds the tree, regenerates the four
+# Exact-sameness check for refactors: builds the tree, regenerates the five
 # full-mode bench reports into build/, and compares each one with its
 # committed BENCH_<x>.json as parsed JSON, ignoring only the `build` and
 # `execution` blocks: every counter, phase attribution, span and timeline
@@ -21,7 +21,7 @@ cmake -S . -B build >/dev/null
 cmake --build build -j "$jobs" >/dev/null
 
 clean=1
-for bench in sim_validation fault_sweep server chaos; do
+for bench in sim_validation sim_sweeps fault_sweep server chaos; do
   fresh="build/BENCH_${bench}.same.json"
   "./build/bench/bench_${bench}" --json "$fresh" --jobs "$jobs" >/dev/null
   summary=$(./build/bench/bench_diff "BENCH_${bench}.json" "$fresh" \

@@ -2,29 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
-#include <thread>
 
 #include "common/json.h"
+#include "common/logging.h"
 
 namespace viewmat::obs {
-
-namespace {
-
-/// Shard lanes ≈ threads that might register concurrently, clamped to a
-/// sane range (tiny machines still get a few lanes; huge ones don't pay
-/// for hundreds of mostly-empty maps).
-size_t PickShardCount() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const size_t n = hw == 0 ? 8 : static_cast<size_t>(hw);
-  return std::clamp<size_t>(n, 4, 64);
-}
-
-}  // namespace
-
-MetricsRegistry::MetricsRegistry()
-    : shard_count_(PickShardCount()),
-      shards_(std::make_unique<Shard[]>(shard_count_)) {}
 
 Labels MetricsRegistry::CanonicalLabels(const Labels& labels) {
   Labels sorted = labels;
@@ -49,99 +31,37 @@ std::string MetricsRegistry::FullKey(std::string_view name,
   return key;
 }
 
-MetricsRegistry::Shard& MetricsRegistry::ShardFor(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % shard_count_];
-}
-
-const MetricsRegistry::Shard& MetricsRegistry::ShardFor(
-    const std::string& key) const {
-  return shards_[std::hash<std::string>{}(key) % shard_count_];
-}
-
 Counter* MetricsRegistry::GetCounter(std::string_view name,
                                      const Labels& labels) {
+  VIEWMAT_DCHECK(owner_.CalledByOwner());
   Labels canonical = CanonicalLabels(labels);
-  const std::string key = FullKey(name, canonical);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.counters.find(key);
-  if (it == shard.counters.end()) {
-    it = shard.counters
-             .emplace(key, CounterEntry{std::string(name),
-                                        std::move(canonical),
-                                        std::make_unique<Counter>()})
+  std::string key = FullKey(name, canonical);
+  auto it = counters_.find(key);
+  if (it == counters_.end()) {
+    it = counters_
+             .emplace(std::move(key),
+                      CounterEntry{std::string(name), std::move(canonical),
+                                   Counter()})
              .first;
   }
-  return it->second.counter.get();
+  return &it->second.counter;
 }
 
 Histogram* MetricsRegistry::GetHistogram(std::string_view name,
                                          const Labels& labels,
                                          std::vector<double> bounds) {
+  VIEWMAT_DCHECK(owner_.CalledByOwner());
   Labels canonical = CanonicalLabels(labels);
-  const std::string key = FullKey(name, canonical);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.histograms.find(key);
-  if (it == shard.histograms.end()) {
-    it = shard.histograms
-             .emplace(key,
+  std::string key = FullKey(name, canonical);
+  auto it = histograms_.find(key);
+  if (it == histograms_.end()) {
+    it = histograms_
+             .emplace(std::move(key),
                       HistogramEntry{std::string(name), std::move(canonical),
-                                     std::make_unique<Histogram>(
-                                         std::move(bounds))})
+                                     Histogram(std::move(bounds))})
              .first;
   }
-  return it->second.histogram.get();
-}
-
-size_t MetricsRegistry::counter_count() const {
-  size_t n = 0;
-  for (size_t si = 0; si < shard_count_; ++si) {
-    const Shard& shard = shards_[si];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.counters.size();
-  }
-  return n;
-}
-
-size_t MetricsRegistry::histogram_count() const {
-  size_t n = 0;
-  for (size_t si = 0; si < shard_count_; ++si) {
-    const Shard& shard = shards_[si];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.histograms.size();
-  }
-  return n;
-}
-
-std::vector<std::pair<std::string, const MetricsRegistry::CounterEntry*>>
-MetricsRegistry::SortedCounters() const {
-  std::vector<std::pair<std::string, const CounterEntry*>> out;
-  for (size_t si = 0; si < shard_count_; ++si) {
-    const Shard& shard = shards_[si];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.counters) {
-      out.emplace_back(key, &entry);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
-}
-
-std::vector<std::pair<std::string, const MetricsRegistry::HistogramEntry*>>
-MetricsRegistry::SortedHistograms() const {
-  std::vector<std::pair<std::string, const HistogramEntry*>> out;
-  for (size_t si = 0; si < shard_count_; ++si) {
-    const Shard& shard = shards_[si];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, entry] : shard.histograms) {
-      out.emplace_back(key, &entry);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return out;
+  return &it->second.histogram;
 }
 
 namespace {
@@ -159,21 +79,21 @@ void MetricsRegistry::WriteJson(common::JsonWriter* w) const {
   w->BeginObject();
   w->Key("counters");
   w->BeginArray();
-  for (const auto& [key, entry] : SortedCounters()) {
+  for (const auto& [key, entry] : counters_) {
     w->BeginObject();
-    w->KV("name", entry->name);
-    WriteLabels(w, entry->labels);
-    w->KV("value", entry->counter->value());
+    w->KV("name", entry.name);
+    WriteLabels(w, entry.labels);
+    w->KV("value", entry.counter.value());
     w->EndObject();
   }
   w->EndArray();
   w->Key("histograms");
   w->BeginArray();
-  for (const auto& [key, entry] : SortedHistograms()) {
-    const Histogram& h = *entry->histogram;
+  for (const auto& [key, entry] : histograms_) {
+    const Histogram& h = entry.histogram;
     w->BeginObject();
-    w->KV("name", entry->name);
-    WriteLabels(w, entry->labels);
+    w->KV("name", entry.name);
+    WriteLabels(w, entry.labels);
     w->Key("bounds");
     w->BeginArray();
     for (const double b : h.bounds()) w->Double(b);
@@ -208,17 +128,17 @@ std::string MetricsRegistry::ToString() const {
       out += '}';
     }
   };
-  for (const auto& [key, entry] : SortedCounters()) {
-    append_labeled(entry->name, entry->labels);
+  for (const auto& [key, entry] : counters_) {
+    append_labeled(entry.name, entry.labels);
     std::snprintf(buf, sizeof(buf), " %llu\n",
-                  static_cast<unsigned long long>(entry->counter->value()));
+                  static_cast<unsigned long long>(entry.counter.value()));
     out += buf;
   }
-  for (const auto& [key, entry] : SortedHistograms()) {
-    append_labeled(entry->name, entry->labels);
+  for (const auto& [key, entry] : histograms_) {
+    append_labeled(entry.name, entry.labels);
     std::snprintf(buf, sizeof(buf), " count=%llu sum=%.3f\n",
-                  static_cast<unsigned long long>(entry->histogram->count()),
-                  entry->histogram->sum());
+                  static_cast<unsigned long long>(entry.histogram.count()),
+                  entry.histogram.sum());
     out += buf;
   }
   return out;

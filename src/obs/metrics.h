@@ -1,15 +1,14 @@
 #ifndef VIEWMAT_OBS_METRICS_H_
 #define VIEWMAT_OBS_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "common/owner_check.h"
 
 namespace viewmat::common {
 class JsonWriter;
@@ -21,29 +20,23 @@ namespace viewmat::obs {
 /// sorting on key, so call sites may list labels in any order — the same
 /// (name, label set) always resolves to the same metric, and snapshots
 /// (JSON, text) always render labels in sorted order regardless of which
-/// shard or call site registered them.
+/// call site registered them.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Monotonic counter. Pointer-stable once created: call-sites cache the
-/// pointer and increment without re-hashing the name. Increments are
-/// lock-free atomics, so counters can be bumped from any number of sweep
-/// workers concurrently.
+/// pointer and increment without re-hashing the name.
 class Counter {
  public:
-  void Increment(uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Increment(uint64_t n = 1) { value_ += n; }
+  uint64_t value() const { return value_; }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  uint64_t value_ = 0;
 };
 
 /// Fixed-bucket histogram. `bounds` are inclusive upper bounds of the
 /// finite buckets; an implicit +inf bucket catches the rest (so counts has
-/// bounds.size() + 1 entries). Observe() is serialized by a per-histogram
-/// mutex (a bucket update touches three fields atomically-together);
-/// snapshot accessors copy under the same mutex.
+/// bounds.size() + 1 entries).
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds)
@@ -52,31 +45,18 @@ class Histogram {
   void Observe(double v) {
     size_t i = 0;
     while (i < bounds_.size() && v > bounds_[i]) ++i;
-    std::lock_guard<std::mutex> lock(mu_);
     ++counts_[i];
     sum_ += v;
     ++count_;
   }
 
-  /// Bounds are immutable after construction — safe to read without a lock.
   const std::vector<double>& bounds() const { return bounds_; }
-  /// Snapshot copies, consistent under the histogram's mutex.
-  std::vector<uint64_t> counts() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return counts_;
-  }
-  double sum() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return sum_;
-  }
-  uint64_t count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_;
-  }
+  const std::vector<uint64_t>& counts() const { return counts_; }
+  double sum() const { return sum_; }
+  uint64_t count() const { return count_; }
 
  private:
   std::vector<double> bounds_;
-  mutable std::mutex mu_;
   std::vector<uint64_t> counts_;
   double sum_ = 0;
   uint64_t count_ = 0;
@@ -87,20 +67,14 @@ class Histogram {
 /// that. Iteration order (and therefore JSON/text output) is sorted by
 /// full name, so reports are deterministic.
 ///
-/// Thread safety: registration is sharded — the full key hashes to one of
-/// shard_count() shards, each with its own mutex and map, so concurrent
-/// sweep workers registering disjoint metrics rarely contend. The shard
-/// count is sized from hardware_concurrency at construction (so a wider
-/// machine gets more registration lanes) and each shard is padded to a
-/// cache line so neighboring shard mutexes never false-share. Returned
-/// pointers are stable for the registry's lifetime and may be used from any
-/// thread (Counter is atomic, Histogram locks internally). Snapshots
-/// (WriteJson, ToString, counter_count) merge the shards under their locks
-/// — safe to call while workers are still recording, though mid-run
-/// snapshots see a momentary value, not a barrier.
+/// Single-owner, like storage::CostTracker: a registry belongs to the one
+/// thread that drives its engine, and parallel sweeps give each task its
+/// own registry (or none). Registration asserts the contract in debug
+/// builds (common::OwnerCheck). Returned pointers are stable for the
+/// registry's lifetime.
 class MetricsRegistry {
  public:
-  MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -110,9 +84,8 @@ class MetricsRegistry {
   Histogram* GetHistogram(std::string_view name, const Labels& labels,
                           std::vector<double> bounds);
 
-  size_t counter_count() const;
-  size_t histogram_count() const;
-  size_t shard_count() const { return shard_count_; }
+  size_t counter_count() const { return counters_.size(); }
+  size_t histogram_count() const { return histograms_.size(); }
 
   /// {"counters":[{"name","labels",{...},"value"}...],
   ///  "histograms":[{"name","labels",{...},"bounds","counts","sum","count"}]}
@@ -124,21 +97,12 @@ class MetricsRegistry {
   struct CounterEntry {
     std::string name;
     Labels labels;
-    std::unique_ptr<Counter> counter;
+    Counter counter;
   };
   struct HistogramEntry {
     std::string name;
     Labels labels;
-    std::unique_ptr<Histogram> histogram;
-  };
-  /// Cache-line aligned: adjacent shards in the array carry independently
-  /// contended mutexes, and without the padding a writer bouncing one
-  /// shard's line would slow readers of its neighbors (false sharing —
-  /// measured by bench_yao_micro's metrics-contention note).
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    std::map<std::string, CounterEntry> counters;
-    std::map<std::string, HistogramEntry> histograms;
+    Histogram histogram;
   };
 
   /// Labels sorted by key — the canonical form used for identity and
@@ -146,18 +110,12 @@ class MetricsRegistry {
   static Labels CanonicalLabels(const Labels& labels);
   /// `labels` must already be canonical.
   static std::string FullKey(std::string_view name, const Labels& labels);
-  Shard& ShardFor(const std::string& key);
-  const Shard& ShardFor(const std::string& key) const;
 
-  /// Merge-on-snapshot: collect (key, entry*) pairs from every shard under
-  /// its lock, sorted by full key across all shards.
-  std::vector<std::pair<std::string, const CounterEntry*>> SortedCounters()
-      const;
-  std::vector<std::pair<std::string, const HistogramEntry*>> SortedHistograms()
-      const;
-
-  size_t shard_count_;
-  std::unique_ptr<Shard[]> shards_;
+  /// Keyed by full key, so iteration is the sorted snapshot order. Map
+  /// nodes never move, which keeps the returned pointers stable.
+  std::map<std::string, CounterEntry> counters_;
+  std::map<std::string, HistogramEntry> histograms_;
+  common::OwnerCheck owner_;
 };
 
 }  // namespace viewmat::obs

@@ -15,43 +15,11 @@ int64_t FloorWindow(double t_ms, double window_ms) {
 
 }  // namespace
 
-WindowedCounter::WindowedCounter(double window_ms) : window_ms_(window_ms) {
-  VIEWMAT_CHECK(window_ms > 0);
-}
-
-void WindowedCounter::Add(double t_ms, uint64_t n) {
-  const int64_t w = FloorWindow(t_ms, window_ms_);
-  std::lock_guard<std::mutex> lock(mu_);
-  counts_[w] += n;
-  total_ += n;
-}
-
-std::vector<WindowedCounter::Window> WindowedCounter::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Window> out;
-  out.reserve(counts_.size());
-  for (const auto& [index, count] : counts_) out.push_back({index, count});
-  return out;
-}
-
-uint64_t WindowedCounter::CountAt(double t_ms) const {
-  const int64_t w = FloorWindow(t_ms, window_ms_);
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = counts_.find(w);
-  return it != counts_.end() ? it->second : 0;
-}
-
-uint64_t WindowedCounter::total() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
 EwmaGauge::EwmaGauge(double half_life_ms) : half_life_ms_(half_life_ms) {
   VIEWMAT_CHECK(half_life_ms > 0);
 }
 
 void EwmaGauge::Observe(double t_ms, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
   if (count_ == 0) {
     value_ = value;
   } else {
@@ -61,16 +29,6 @@ void EwmaGauge::Observe(double t_ms, double value) {
   }
   last_t_ms_ = t_ms;
   ++count_;
-}
-
-double EwmaGauge::value() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return value_;
-}
-
-uint64_t EwmaGauge::count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
 }
 
 SlidingWindowHistogram::SlidingWindowHistogram(std::vector<double> bounds,
@@ -91,7 +49,6 @@ void SlidingWindowHistogram::Observe(double t_ms, double v) {
   const int64_t w = WindowIndex(t_ms);
   size_t bucket = 0;
   while (bucket < bounds_.size() && v > bounds_[bucket]) ++bucket;
-  std::lock_guard<std::mutex> lock(mu_);
   if (latest_index_ >= 0 &&
       w <= latest_index_ - static_cast<int64_t>(slots_.size())) {
     return;  // older than the ring's span: outside the sliding window
@@ -113,7 +70,6 @@ std::vector<uint64_t> SlidingWindowHistogram::MergedCounts(double t_ms) const {
   const int64_t cur = WindowIndex(t_ms);
   const int64_t oldest = cur - static_cast<int64_t>(slots_.size()) + 1;
   std::vector<uint64_t> merged(bounds_.size() + 1, 0);
-  std::lock_guard<std::mutex> lock(mu_);
   for (const Slot& slot : slots_) {
     if (slot.index < oldest || slot.index > cur) continue;
     for (size_t i = 0; i < merged.size(); ++i) merged[i] += slot.counts[i];
@@ -125,7 +81,6 @@ uint64_t SlidingWindowHistogram::MergedCount(double t_ms) const {
   const int64_t cur = WindowIndex(t_ms);
   const int64_t oldest = cur - static_cast<int64_t>(slots_.size()) + 1;
   uint64_t total = 0;
-  std::lock_guard<std::mutex> lock(mu_);
   for (const Slot& slot : slots_) {
     if (slot.index < oldest || slot.index > cur) continue;
     total += slot.total;

@@ -1,9 +1,8 @@
 #ifndef VIEWMAT_OBS_TIMESERIES_H_
 #define VIEWMAT_OBS_TIMESERIES_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <vector>
 
 namespace viewmat::obs {
@@ -16,43 +15,14 @@ namespace viewmat::obs {
 /// that produced it — byte-identical at any --jobs setting — and lets a
 /// "one hour of traffic" experiment run in milliseconds of wall time.
 ///
-/// Windowing convention, shared by all three types: time is divided into
-/// fixed windows of `window_ms`; a sample at time t belongs to window
-/// floor(t / window_ms). A sample landing exactly on a boundary k*window_ms
-/// therefore opens window k (half-open intervals [k*W, (k+1)*W)).
+/// Windowing convention: time is divided into fixed windows of
+/// `window_ms`; a sample at time t belongs to window floor(t / window_ms).
+/// A sample landing exactly on a boundary k*window_ms therefore opens
+/// window k (half-open intervals [k*W, (k+1)*W)).
 ///
-/// Thread safety: like MetricsRegistry, these are merge-on-snapshot — all
-/// mutation and snapshot accessors lock an internal mutex, so concurrent
-/// sweep workers can record into a shared instance and a reader can
-/// snapshot mid-run. Determinism across job counts is the *caller's*
-/// deal (per-run instances or deterministic timestamps), exactly as for
-/// the metrics registry.
-
-/// Per-window event counter: Add(t, n) bumps the window containing t.
-/// Windows are kept sparsely, so an idle span of model time costs nothing.
-class WindowedCounter {
- public:
-  explicit WindowedCounter(double window_ms);
-
-  void Add(double t_ms, uint64_t n = 1);
-
-  struct Window {
-    int64_t index = 0;  ///< window covers [index*window_ms, (index+1)*window_ms)
-    uint64_t count = 0;
-  };
-  /// Non-empty windows in ascending index order.
-  std::vector<Window> Snapshot() const;
-  /// Count in the window containing t_ms (0 when none).
-  uint64_t CountAt(double t_ms) const;
-  uint64_t total() const;
-  double window_ms() const { return window_ms_; }
-
- private:
-  const double window_ms_;
-  mutable std::mutex mu_;
-  std::map<int64_t, uint64_t> counts_;
-  uint64_t total_ = 0;
-};
+/// Single-owner, like the metrics registry: each instance belongs to the
+/// one run that records into it (storage::TimelineRecorder keeps one set
+/// per strategy run), so nothing here locks.
 
 /// Exponentially-weighted moving average with a half-life in model ms.
 /// Irregular sampling: the old average's weight decays by 2^(-dt/half_life)
@@ -67,13 +37,12 @@ class EwmaGauge {
 
   /// Current smoothed value (0 before the first sample; the first sample
   /// sets the average directly).
-  double value() const;
-  uint64_t count() const;
+  double value() const { return value_; }
+  uint64_t count() const { return count_; }
   double half_life_ms() const { return half_life_ms_; }
 
  private:
   const double half_life_ms_;
-  mutable std::mutex mu_;
   double value_ = 0;
   double last_t_ms_ = 0;
   uint64_t count_ = 0;
@@ -125,7 +94,6 @@ class SlidingWindowHistogram {
 
   const std::vector<double> bounds_;
   const double window_ms_;
-  mutable std::mutex mu_;
   std::vector<Slot> slots_;
   int64_t latest_index_ = -1;  ///< newest window ever observed
 };

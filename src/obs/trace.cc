@@ -7,99 +7,64 @@
 
 namespace viewmat::obs {
 
-Tracer::ThreadState* Tracer::State() {
-  const std::thread::id self = std::this_thread::get_id();
-  std::lock_guard<std::mutex> lock(mu_);
-  std::unique_ptr<ThreadState>& slot = states_[self];
-  if (slot == nullptr) slot = std::make_unique<ThreadState>();
-  return slot.get();
-}
-
-void Tracer::Flush(ThreadState* state) {
-  if (state->buffer.empty()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint32_t offset = static_cast<uint32_t>(spans_.size());
-  for (Span& span : state->buffer) {
-    if (span.parent != 0) span.parent += offset;
-    spans_.push_back(std::move(span));
-  }
-  state->buffer.clear();
-}
-
-void Tracer::CloseOpenSpans(ThreadState* state) {
+void Tracer::CloseOpenSpans() {
   const double now = Now();
-  while (!state->open.empty()) {
-    const uint32_t top = state->open.back();
-    state->open.pop_back();
-    Span& span = state->buffer[top - 1];
+  for (const uint32_t handle : open_) {
+    Span& span = spans_[handle - 1];
     if (span.end_ms < 0) span.end_ms = now;
   }
-  Flush(state);
+  open_.clear();
 }
 
 uint32_t Tracer::NewTrack(std::string name) {
-  ThreadState* state = State();
-  // A new track implicitly closes the thread's open spans — the simulator
-  // switches tracks only between runs, when all spans are closed, but a
-  // defensive close keeps the trace well-formed regardless.
-  CloseOpenSpans(state);
-  std::lock_guard<std::mutex> lock(mu_);
+  VIEWMAT_DCHECK(owner_.CalledByOwner());
+  // A new track implicitly closes the open spans — the simulator switches
+  // tracks only between runs, when all spans are closed, but a defensive
+  // close keeps the trace well-formed regardless.
+  CloseOpenSpans();
   track_names_.push_back(std::move(name));
-  state->track = static_cast<uint32_t>(track_names_.size());
-  return state->track;
+  track_ = static_cast<uint32_t>(track_names_.size());
+  return track_;
 }
 
 uint32_t Tracer::BeginSpan(std::string name) {
-  ThreadState* state = State();
+  VIEWMAT_DCHECK(owner_.CalledByOwner());
   Span span;
   span.name = std::move(name);
-  span.parent = state->open.empty() ? 0 : state->open.back();
-  span.track = state->track;
+  span.parent = open_.empty() ? 0 : open_.back();
+  span.track = track_;
   span.begin_ms = Now();
-  state->buffer.push_back(std::move(span));
-  const uint32_t handle = static_cast<uint32_t>(state->buffer.size());
-  state->open.push_back(handle);
+  spans_.push_back(std::move(span));
+  const uint32_t handle = static_cast<uint32_t>(spans_.size());
+  open_.push_back(handle);
   return handle;
 }
 
 void Tracer::EndSpan(uint32_t handle) {
-  ThreadState* state = State();
-  if (handle == 0 || handle > state->buffer.size()) return;
-  Span& span = state->buffer[handle - 1];
+  VIEWMAT_DCHECK(owner_.CalledByOwner());
+  if (handle == 0 || handle > spans_.size()) return;
+  Span& span = spans_[handle - 1];
   if (span.end_ms >= 0) return;  // already closed (defensively)
   span.end_ms = Now();
   // Close any nested spans left open (exception-free code should never
   // leave any, but the trace must stay a tree).
-  while (!state->open.empty()) {
-    const uint32_t top = state->open.back();
-    state->open.pop_back();
+  while (!open_.empty()) {
+    const uint32_t top = open_.back();
+    open_.pop_back();
     if (top == handle) break;
-    Span& inner = state->buffer[top - 1];
+    Span& inner = spans_[top - 1];
     if (inner.end_ms < 0) inner.end_ms = span.end_ms;
   }
-  // Root closed: the tree is complete, publish it.
-  if (state->open.empty()) Flush(state);
 }
 
 void Tracer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
   spans_.clear();
+  open_.clear();
   track_names_.clear();
-  states_.clear();
-}
-
-size_t Tracer::span_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
-std::vector<Span> Tracer::spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
+  track_ = 0;
 }
 
 std::string Tracer::ToChromeTraceJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
   common::JsonWriter w;
   w.BeginObject();
   w.Key("traceEvents");
@@ -136,11 +101,9 @@ std::string Tracer::ToChromeTraceJson() const {
 }
 
 std::string Tracer::ToString() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   char buf[160];
-  // Children of each span, in serialization order (begin order per tree,
-  // trees in root-completion order).
+  // Children of each span, in begin order.
   std::vector<std::vector<uint32_t>> children(spans_.size() + 1);
   for (uint32_t h = 1; h <= spans_.size(); ++h) {
     children[spans_[h - 1].parent].push_back(h);

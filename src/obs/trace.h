@@ -2,12 +2,10 @@
 #define VIEWMAT_OBS_TRACE_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
+
+#include "common/owner_check.h"
 
 namespace viewmat::obs {
 
@@ -22,8 +20,8 @@ class VirtualClock {
 };
 
 /// One recorded span. `parent` is the 1-based position of the enclosing
-/// span in the serialized span list (0 = track root), so the vector
-/// doubles as a stable serialization order.
+/// span in the span list (0 = track root); the list is in begin order, so
+/// it doubles as a stable serialization order.
 struct Span {
   std::string name;
   uint32_t parent = 0;
@@ -56,15 +54,12 @@ struct Span {
 /// ScopedSpan, which does nothing (one branch) when the tracer is null, so
 /// tracing costs nothing unless a harness opts in.
 ///
-/// Thread safety: each recording thread accumulates spans in its own
-/// buffer (one completed root tree at a time); when a root span closes,
-/// the finished tree is flushed into the shared span list under a mutex.
-/// Span handles returned by BeginSpan are therefore *thread-local* and
-/// only meaningful for a matching EndSpan on the same thread (ScopedSpan's
-/// RAII contract). Snapshot accessors — span_count(), spans(), ToString(),
-/// ToChromeTraceJson() — see flushed (root-closed) trees only and are safe
-/// to call while other threads are still recording. Single-threaded
-/// recording serializes in begin order, exactly as before.
+/// Single-owner, like storage::CostTracker: a tracer belongs to the one
+/// thread that drives its engine, and parallel sweeps give each task its
+/// own tracer (or none). Recording asserts the contract in debug builds
+/// (common::OwnerCheck). A span is listed from BeginSpan on, with
+/// end_ms = -1 until it closes; its handle is its 1-based position in
+/// spans().
 class Tracer {
  public:
   /// `clock` may be null (spans record 0); see SetClock.
@@ -77,24 +72,21 @@ class Tracer {
   /// strategy run: each run has its own CostTracker whose model time
   /// restarts at zero, and each run gets its own track (see NewTrack), so
   /// runs lay out as parallel tracks starting at t=0 — directly comparable
-  /// in Perfetto. The clock is tracer-global: concurrent harnesses give
-  /// each task its own tracer (or none) rather than sharing one clock.
+  /// in Perfetto.
   void SetClock(const VirtualClock* clock) { clock_ = clock; }
 
   /// Starts a new track (Perfetto "thread") named `name`; subsequent spans
-  /// on the calling thread land on it. Returns the track id. Implicitly
-  /// closes the calling thread's open spans, flushing them.
+  /// land on it. Returns the track id. Implicitly closes the open spans.
   uint32_t NewTrack(std::string name);
 
-  /// Begins a span; returns its handle for EndSpan on the same thread.
-  /// Nesting follows begin/end order (a per-thread stack), which matches
-  /// ScopedSpan's RAII scoping.
+  /// Begins a span; returns its handle for EndSpan. Nesting follows
+  /// begin/end order (a stack of open spans), which matches ScopedSpan's
+  /// RAII scoping.
   uint32_t BeginSpan(std::string name);
   void EndSpan(uint32_t handle);
 
-  /// Flushed spans only — trees whose root span has closed.
-  size_t span_count() const;
-  std::vector<Span> spans() const;
+  size_t span_count() const { return spans_.size(); }
+  const std::vector<Span>& spans() const { return spans_; }
 
   /// Chrome trace event format: {"traceEvents":[...]} with complete ("X")
   /// events in microseconds of model time, one tid per track.
@@ -107,26 +99,15 @@ class Tracer {
   void Clear();
 
  private:
-  /// Per-thread recording state: the buffer holds the (single) root tree
-  /// currently being recorded by that thread; parents inside it are local
-  /// 1-based handles, rebased on flush.
-  struct ThreadState {
-    std::vector<Span> buffer;
-    std::vector<uint32_t> open;  ///< open spans' local handles, innermost last
-    uint32_t track = 0;          ///< current (global) track id
-  };
-
   double Now() const { return clock_ != nullptr ? clock_->NowMs() : 0.0; }
-  ThreadState* State();
-  /// Appends the thread's completed root tree to spans_ under mu_.
-  void Flush(ThreadState* state);
-  void CloseOpenSpans(ThreadState* state);
+  void CloseOpenSpans();
 
   const VirtualClock* clock_;
-  mutable std::mutex mu_;  ///< guards spans_, track_names_, states_
   std::vector<Span> spans_;
+  std::vector<uint32_t> open_;  ///< open spans' handles, innermost last
   std::vector<std::string> track_names_;
-  std::unordered_map<std::thread::id, std::unique_ptr<ThreadState>> states_;
+  uint32_t track_ = 0;  ///< current track id (0 = none yet)
+  common::OwnerCheck owner_;
 };
 
 /// RAII span. Null tracer = disabled tracing: construction and destruction

@@ -50,16 +50,12 @@ bool RequestsConflict(const LockRequest& a, const LockRequest& b) {
   return modes_conflict && !db::IntervalSet::Intersect(a.keys, b.keys).empty();
 }
 
-/// The sim::MultisetDigest of the view answer over [lo, hi] the shadow
-/// predicts: one tuple per view key in range.
-uint64_t ExpectedDigest(const sim::ShadowOracle& shadow, int model, int64_t lo,
-                        int64_t hi) {
+/// The sim::MultisetDigest term of view key `key` as the shadow predicts
+/// it: its one tuple's, or 0 when the key is outside the view.
+uint64_t KeyDigest(const sim::ShadowOracle& shadow, int model, int64_t key) {
   sim::MultisetDigest digest;
-  const int64_t to = std::min<int64_t>(hi, shadow.f_cut - 1);
-  for (int64_t key = std::max<int64_t>(lo, 0); key <= to; ++key) {
-    db::Tuple value;
-    if (sim::ShadowViewTuple(shadow, model, key, &value)) digest.Add(value, 1);
-  }
+  db::Tuple value;
+  if (sim::ShadowViewTuple(shadow, model, key, &value)) digest.Add(value, 1);
   return digest.value();
 }
 
@@ -122,6 +118,13 @@ Schedule BuildSchedule(const ScheduleOptions& options,
       driver->scenario()->ViewPredicate()->ImpliedRangeSet(Scenario::kFieldK1);
   const int64_t l =
       std::max<int64_t>(1, static_cast<int64_t>(driver->scenario()->params().l));
+  // One digest term per view key, kept in step with the shadow. The digest
+  // is a sum mod 2^64, so a query's expected digest is the sum of its
+  // range's terms: no tuple is built per key per query.
+  std::vector<uint64_t> key_digest(static_cast<size_t>(shadow.f_cut));
+  for (int64_t key = 0; key < shadow.f_cut; ++key) {
+    key_digest[key] = KeyDigest(shadow, model, key);
+  }
 
   // Per-client streams are seeded independently of the interleaving, and
   // the sequencer has its own stream: reordering the sequencer cannot
@@ -168,6 +171,11 @@ Schedule BuildSchedule(const ScheduleOptions& options,
         ++schedule.planned_aborts;
       } else {
         AdvanceShadow(op, &shadow);
+        for (const auto& [key, new_v] : op.victims) {
+          if (key < shadow.f_cut) {
+            key_digest[key] = KeyDigest(shadow, model, key);
+          }
+        }
       }
     } else {
       op.kind = OpKind::kQuery;
@@ -180,7 +188,10 @@ Schedule BuildSchedule(const ScheduleOptions& options,
         // historical stream never clamped).
         op.hi = std::min(op.hi, range.base + range.width - 1);
       }
-      op.expected_digest = ExpectedDigest(shadow, model, op.lo, op.hi);
+      const int64_t to = std::min<int64_t>(op.hi, shadow.f_cut - 1);
+      for (int64_t key = std::max<int64_t>(op.lo, 0); key <= to; ++key) {
+        op.expected_digest += key_digest[key];
+      }
       op.locks.push_back(LockRequest{kLockRelBase, LockMode::kShared,
                                      ReaderIntervals(screen, op.lo, op.hi)});
       if (model == 2) {

@@ -31,7 +31,7 @@ StatusOr<std::unique_ptr<ViewServer>> ViewServer::Create(
   server->schedule_ = BuildSchedule(options.schedule, server->driver_.get());
   AnalyzeSchedule(&server->schedule_);
   server->exec_shadow_ = sim::MakeShadow(*server->driver_->scenario());
-  server->baseline_ = server->driver_->tracker()->counters();
+  server->clock_.Start(server->driver_->tracker());
   server->results_.resize(server->schedule_.ops.size());
   if (options.tracer != nullptr) options.tracer->SetClock(&server->clock_);
   return server;
@@ -40,13 +40,6 @@ StatusOr<std::unique_ptr<ViewServer>> ViewServer::Create(
 bool ViewServer::ExecuteOp(size_t i) {
   const ScheduledOp& op = schedule_.ops[i];
   OpResult& r = results_[i];
-  obs::Tracer* tracer = options_.tracer;
-  uint32_t span = 0;
-  if (tracer != nullptr) {
-    span = tracer->BeginSpan(op.kind == OpKind::kUpdate ? "server.txn"
-                                                        : "server.query");
-  }
-
   if (op.kind == OpKind::kUpdate) {
     sim::StagedTxn staged(exec_shadow_, driver_->base());
     for (const auto& [key, v] : op.victims) staged.Set(key, v);
@@ -81,7 +74,6 @@ bool ViewServer::ExecuteOp(size_t i) {
     }
   }
 
-  if (tracer != nullptr) tracer->EndSpan(span);
   return !driver_->disk()->crashed();
 }
 
@@ -120,11 +112,16 @@ StatusOr<ViewServer::Result> ViewServer::Run() {
   const auto wall_start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < schedule_.ops.size(); ++i) {
     const storage::CostCounters before = tracker->counters();
-    if (!crashed) crashed = !ExecuteOp(i) || !SyncAtBatchBoundary(i);
+    if (!crashed) {
+      const obs::ScopedSpan span(
+          options_.tracer, schedule_.ops[i].kind == OpKind::kUpdate
+                               ? "server.txn"
+                               : "server.query");
+      crashed = !ExecuteOp(i) || !SyncAtBatchBoundary(i);
+    }
     OpResult& r = results_[i];
     r.cost = tracker->counters() - before;
-    r.commit_ms = tracker->Ms(tracker->counters() - baseline_);
-    clock_.Set(r.commit_ms);
+    r.commit_ms = clock_.NowMs();
   }
 
   Result result;
@@ -135,7 +132,7 @@ StatusOr<ViewServer::Result> ViewServer::Run() {
   result.commit_batches = commit_batches_;
   // Model time consumed by the schedule itself (recovery/convergence and
   // the digest query below are deliberately excluded — they are epilogue).
-  result.model_ms = tracker->Ms(tracker->counters() - baseline_);
+  result.model_ms = clock_.NowMs();
 
   if (crashed) {
     driver_->disk()->ClearFaults();

@@ -14,15 +14,22 @@
 
 namespace viewmat::server {
 
-/// The server's model clock for its tracer: the schedule's model time as of
-/// the last retired op.
+/// The server's model clock: the model time its driver's tracker has
+/// accumulated since Start(), read live, so a span opened and closed around
+/// an op lasts exactly that op's model cost. Read only after Start().
 class ModelClock : public obs::VirtualClock {
  public:
-  double NowMs() const override { return ms_; }
-  void Set(double ms) { ms_ = ms; }
+  void Start(const storage::CostTracker* tracker) {
+    tracker_ = tracker;
+    start_ = tracker->counters();
+  }
+  double NowMs() const override {
+    return tracker_->Ms(tracker_->counters() - start_);
+  }
 
  private:
-  double ms_ = 0.0;
+  const storage::CostTracker* tracker_ = nullptr;
+  storage::CostCounters start_;
 };
 
 /// How one scheduled op ended.
@@ -54,7 +61,9 @@ enum class OpStatus : uint8_t {
 ///    waits on the model clock. Executing in sequence order is the serial
 ///    witness those locks would enforce, so nothing is locked at run time.
 ///  - Retirement. After an op executes, its cost is the tracker delta
-///    across it and its commit stamp is the model time since the build.
+///    across it and its commit stamp is the model clock (model time since
+///    the build). A traced op's span covers its execution and its share of
+///    group commit, so it lasts exactly the op's cost.
 ///  - Group commit (Options::driver.group_commit). Commit records buffer in
 ///    the log tail; retirement syncs once per `commit_batch` commits and at
 ///    the final op, charging the sync to the retiring op. A crash can then
@@ -78,9 +87,9 @@ class ViewServer {
     /// schedule starts; the server stops, recovers, and reports a
     /// prefix-consistent state.
     size_t crash_at_disk_op = 0;
-    /// Optional instrumentation (not owned; may be null). The tracer runs
-    /// on the server's model clock and receives one server.txn /
-    /// server.query span per executed op, on the calling thread's track.
+    /// Optional instrumentation (not owned; may be null). Create points
+    /// the tracer at the server's model clock; it receives one server.txn /
+    /// server.query span per executed op, on the current track.
     obs::MetricsRegistry* metrics = nullptr;
     obs::Tracer* tracer = nullptr;
   };
@@ -162,13 +171,12 @@ class ViewServer {
   Options options_;
   std::unique_ptr<sim::StrategyDriver> driver_;
   Schedule schedule_;
-  ModelClock clock_;
+  ModelClock clock_;  ///< started at the end of the build
 
   size_t commits_in_batch_ = 0;
   uint64_t commit_batches_ = 0;
 
   sim::ShadowOracle exec_shadow_;
-  storage::CostCounters baseline_;  ///< tracker counters after build
   std::vector<OpResult> results_;
 
   bool ran_ = false;

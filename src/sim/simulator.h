@@ -16,14 +16,6 @@ namespace viewmat::sim {
 /// Knobs for a simulation run.
 struct SimOptions {
   uint64_t seed = 42;
-  /// Buffer pool frames. 0 = auto: enough to keep R2 resident during a
-  /// join (the model's assumption) while staying small otherwise.
-  size_t buffer_pool_pages = 0;
-  /// Write back and drop the cache between operations: each transaction
-  /// and each query starts cold, matching the per-operation I/O counts the
-  /// formulas charge. Caching still works *within* an operation (e.g. R2
-  /// pages stay resident during one join).
-  bool cold_cache_between_ops = true;
   /// Optional span tracer (not owned; null = tracing off). Each strategy
   /// run gets its own track, with model-ms timestamps restarting at zero,
   /// so runs render as parallel tracks in Perfetto.
@@ -56,13 +48,16 @@ struct StrategyRun {
 };
 
 /// One simulated experiment: the same generated workload driven through a
-/// no-view baseline and every applicable strategy, with per-strategy fresh
-/// database instances.
+/// no-view baseline and every applicable strategy, each on a fresh
+/// non-durable StrategyDriver.
 struct SimResult {
   costmodel::Params params;
   int model = 0;                    ///< 1, 2, or 3
   uint64_t seed = 0;                ///< RNG seed the workload was built from
-  size_t buffer_pool_pages = 0;     ///< resolved frame count (after auto)
+  /// Buffer pool frames: enough to keep R2 resident during a join (the
+  /// model's assumption) while staying small otherwise.
+  size_t buffer_pool_pages = 0;
+  /// Always true: every operation starts with a cold cache.
   bool cold_cache_between_ops = true;
   double baseline_ms_per_query = 0;  ///< base updates only, no view work
   std::vector<StrategyRun> runs;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "view/aggregate.h"
 #include "view/deferred.h"
 #include "view/hybrid.h"
 #include "view/immediate.h"
@@ -15,6 +16,7 @@
 namespace viewmat::sim {
 
 using costmodel::Params;
+using costmodel::Strategy;
 using workload::Scenario;
 
 const char* StrategyKindName(StrategyKind kind) {
@@ -40,9 +42,10 @@ StatusOr<StrategyKind> ParseStrategyKind(const std::string& name) {
 
 bool SupportsModel(StrategyKind kind, int model) {
   if (model == 1) return true;
-  return model == 2 && (kind == StrategyKind::kQueryModification ||
-                        kind == StrategyKind::kImmediate ||
-                        kind == StrategyKind::kDeferred);
+  return (model == 2 || model == 3) &&
+         (kind == StrategyKind::kQueryModification ||
+          kind == StrategyKind::kImmediate ||
+          kind == StrategyKind::kDeferred);
 }
 
 Params TortureParams(const Params& base) {
@@ -58,20 +61,6 @@ Params TortureParams(const Params& base) {
   p.f_v = 0.5;
   p.f_R2 = 0.25;
   return p;
-}
-
-hr::AdFile::Options TortureAdOptions(const Params& params,
-                                     storage::LsnAllocator* lsns,
-                                     bool group_commit) {
-  hr::AdFile::Options options;
-  const double expected = std::max(2.0 * params.u(), 64.0);
-  options.expected_keys = static_cast<size_t>(expected);
-  options.hash_buckets = static_cast<uint32_t>(
-      std::max(2.0, 2.0 * params.u() / params.T() + 1.0));
-  options.enable_wal = true;
-  options.lsn_allocator = lsns;
-  options.sync_on_commit = !group_commit;
-  return options;
 }
 
 ShadowOracle MakeShadow(const Scenario& scenario) {
@@ -119,6 +108,29 @@ ViewMultiset ExpectedRange(const ShadowOracle& shadow, int model, int64_t lo,
   return expected;
 }
 
+namespace {
+
+/// AD-file options sized to the workload. A durable driver turns the AD
+/// log on: `lsns` joins it to the RecoveryManager's LSN space, and
+/// `group_commit` leaves the per-commit sync to the batch boundary (see
+/// AdFile::Options::sync_on_commit).
+hr::AdFile::Options AdOptions(const Params& params, bool durable,
+                              storage::LsnAllocator* lsns, bool group_commit) {
+  hr::AdFile::Options options;
+  const double expected = std::max(2.0 * params.u(), 64.0);
+  options.expected_keys = static_cast<size_t>(expected);
+  options.hash_buckets = static_cast<uint32_t>(
+      std::max(2.0, 2.0 * params.u() / params.T() + 1.0));
+  if (durable) {
+    options.enable_wal = true;
+    options.lsn_allocator = lsns;
+    options.sync_on_commit = !group_commit;
+  }
+  return options;
+}
+
+/// The scenario's view definitions: Model 1's select-project, Model 2's
+/// join and Model 3's aggregate.
 view::SelectProjectDef MakeSpDef(Scenario* scenario, db::Relation* base) {
   view::SelectProjectDef def;
   def.base = base;
@@ -143,6 +155,17 @@ view::JoinDef MakeJoinDef(Scenario* scenario, db::Relation* r1,
   def.view_key_field = 0;
   return def;
 }
+
+view::AggregateDef MakeAggDef(Scenario* scenario, db::Relation* base) {
+  view::AggregateDef def;
+  def.base = base;
+  def.predicate = scenario->ViewPredicate();
+  def.op = view::AggregateOp::kSum;
+  def.agg_field = Scenario::kFieldV;
+  return def;
+}
+
+}  // namespace
 
 Status RecomputeFromBase(int model, const view::SelectProjectDef& sp,
                          const view::JoinDef& join, db::Relation* rel,
@@ -183,36 +206,58 @@ StatusOr<std::unique_ptr<StrategyDriver>> StrategyDriver::Create(
         " is not supported by the " + StrategyKindName(options.kind) +
         " strategy");
   }
+  if (options.model == 3 && options.durable) {
+    return Status::InvalidArgument(
+        "StrategyDriver::Options::durable must be false for model 3 (the "
+        "aggregate strategies do not recover)");
+  }
+  const bool qm_on_model1 =
+      options.kind == StrategyKind::kQueryModification && options.model == 1;
+  if (options.qm_plan != Strategy::kQmClustered &&
+      !(qm_on_model1 && (options.qm_plan == Strategy::kQmUnclustered ||
+                         options.qm_plan == Strategy::kQmSequential))) {
+    return Status::InvalidArgument(
+        std::string("StrategyDriver::Options::qm_plan ") +
+        costmodel::StrategyName(options.qm_plan) +
+        " needs query-modification on model 1 (only the clustered plan "
+        "runs elsewhere)");
+  }
   std::unique_ptr<StrategyDriver> driver(new StrategyDriver(options));
   VIEWMAT_RETURN_IF_ERROR(driver->Build());
   return driver;
 }
 
 Status StrategyDriver::Build() {
-  // Load the database with a healthy device.
-  VIEWMAT_ASSIGN_OR_RETURN(
-      rel_,
-      scenario_.LoadBase(&catalog_, "R", db::AccessMethod::kClusteredBTree));
-  if (options_.model == 2) {
+  // Load the database with a healthy device. Unclustered query
+  // modification reads R from a heap file.
+  const db::AccessMethod method = options_.qm_plan == Strategy::kQmUnclustered
+                                      ? db::AccessMethod::kHeap
+                                      : db::AccessMethod::kClusteredBTree;
+  VIEWMAT_ASSIGN_OR_RETURN(rel_, scenario_.LoadBase(&catalog_, "R", method));
+  const int model = options_.model;
+  if (model == 2) {
     VIEWMAT_ASSIGN_OR_RETURN(r2_, scenario_.LoadR2(&catalog_, "R2"));
   }
-  sp_def_ = options_.model == 1 ? MakeSpDef(&scenario_, rel_)
-                                : view::SelectProjectDef();
-  join_def_ = options_.model == 2 ? MakeJoinDef(&scenario_, rel_, r2_)
-                                  : view::JoinDef();
+  sp_def_ = model == 1 ? MakeSpDef(&scenario_, rel_) : view::SelectProjectDef();
+  join_def_ =
+      model == 2 ? MakeJoinDef(&scenario_, rel_, r2_) : view::JoinDef();
 
-  // The recovery manager exists for every strategy: the RM-committing ones
-  // route their transactions through it; deferred/hybrid only borrow its
-  // LSN allocator so their AD logs join the unified LSN space.
-  db::RecoveryManager::Options rm_options;
-  rm_options.checkpoint_every = options_.checkpoint_every;
-  rm_options.sync_on_commit = !options_.group_commit;
-  recovery_ = std::make_unique<db::RecoveryManager>(&pool_, rm_options);
-  recovery_->Register(rel_);
-  if (r2_ != nullptr) recovery_->Register(r2_);
-  const hr::AdFile::Options ad_options =
-      TortureAdOptions(options_.params, recovery_->wal()->lsn_allocator(),
-                       options_.group_commit);
+  // A durable driver has a recovery manager for every strategy: the
+  // RM-committing ones route their transactions through it;
+  // deferred/hybrid only borrow its LSN allocator so their AD logs join
+  // the unified LSN space.
+  storage::LsnAllocator* lsns = nullptr;
+  if (options_.durable) {
+    db::RecoveryManager::Options rm_options;
+    rm_options.checkpoint_every = options_.checkpoint_every;
+    rm_options.sync_on_commit = !options_.group_commit;
+    recovery_ = std::make_unique<db::RecoveryManager>(&pool_, rm_options);
+    recovery_->Register(rel_);
+    if (r2_ != nullptr) recovery_->Register(r2_);
+    lsns = recovery_->wal()->lsn_allocator();
+  }
+  const hr::AdFile::Options ad_options = AdOptions(
+      options_.params, options_.durable, lsns, options_.group_commit);
 
   // Builds the stored copy, then installs the strategy.
   const auto install = [this](auto strategy) {
@@ -220,28 +265,44 @@ Status StrategyDriver::Build() {
     strategy_ = std::move(strategy);
     return st;
   };
-  const bool m1 = options_.model == 1;
+  const bool m1 = model == 1;
   switch (options_.kind) {
     case StrategyKind::kQueryModification:
       if (m1) {
-        strategy_ =
-            std::make_unique<view::QmSelectProjectStrategy>(sp_def_, &tracker_);
-      } else {
+        strategy_ = std::make_unique<view::QmSelectProjectStrategy>(
+            sp_def_, &tracker_,
+            /*force_sequential=*/options_.qm_plan == Strategy::kQmSequential);
+      } else if (model == 2) {
         strategy_ = std::make_unique<view::QmJoinStrategy>(join_def_, &tracker_);
+      } else {
+        strategy_ = std::make_unique<view::RecomputeAggregateStrategy>(
+            MakeAggDef(&scenario_, rel_), &tracker_);
       }
       break;
     case StrategyKind::kImmediate:
-      VIEWMAT_RETURN_IF_ERROR(install(
-          m1 ? std::make_unique<view::ImmediateStrategy>(sp_def_, &tracker_)
-             : std::make_unique<view::ImmediateStrategy>(join_def_,
-                                                          &tracker_)));
+      if (model == 3) {
+        VIEWMAT_RETURN_IF_ERROR(
+            install(std::make_unique<view::ImmediateAggregateStrategy>(
+                MakeAggDef(&scenario_, rel_), &tracker_)));
+      } else {
+        VIEWMAT_RETURN_IF_ERROR(install(
+            m1 ? std::make_unique<view::ImmediateStrategy>(sp_def_, &tracker_)
+               : std::make_unique<view::ImmediateStrategy>(join_def_,
+                                                            &tracker_)));
+      }
       break;
     case StrategyKind::kDeferred:
-      VIEWMAT_RETURN_IF_ERROR(
-          install(m1 ? std::make_unique<view::DeferredStrategy>(
-                           sp_def_, ad_options, &tracker_)
-                     : std::make_unique<view::DeferredStrategy>(
-                           join_def_, ad_options, &tracker_)));
+      if (model == 3) {
+        VIEWMAT_RETURN_IF_ERROR(
+            install(std::make_unique<view::DeferredAggregateStrategy>(
+                MakeAggDef(&scenario_, rel_), ad_options, &tracker_)));
+      } else {
+        VIEWMAT_RETURN_IF_ERROR(
+            install(m1 ? std::make_unique<view::DeferredStrategy>(
+                             sp_def_, ad_options, &tracker_)
+                       : std::make_unique<view::DeferredStrategy>(
+                             join_def_, ad_options, &tracker_)));
+      }
       break;
     case StrategyKind::kSnapshot: {
       // Refresh before every query: the torture oracle demands exact
@@ -265,7 +326,9 @@ Status StrategyDriver::Build() {
           sp_def_, ad_options, &tracker_)));
       break;
   }
-  if (!journaled()) strategy_->AttachRecovery(recovery_.get());
+  if (recovery_ != nullptr && !journaled()) {
+    strategy_->AttachRecovery(recovery_.get());
+  }
   return pool_.FlushAll();
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/status.h"
 #include "costmodel/params.h"
+#include "costmodel/strategy.h"
 #include "db/catalog.h"
 #include "db/recovery.h"
 #include "hr/ad_file.h"
@@ -25,7 +26,7 @@ namespace viewmat::sim {
 /// check (view answers, base contents, recomputes).
 using ViewMultiset = std::map<db::Tuple, int64_t>;
 
-/// Every maintenance strategy the torture harness can drive.
+/// Every maintenance strategy a driver can run.
 enum class StrategyKind {
   kQueryModification,
   kImmediate,
@@ -46,20 +47,13 @@ StatusOr<StrategyKind> ParseStrategyKind(const std::string& name);
 
 /// Whether the driver can run `kind` over paper model `model`: every
 /// strategy maintains the Model 1 select-project view; only
-/// query-modification, immediate, and deferred maintain the Model 2 join.
+/// query-modification, immediate, and deferred maintain the Model 2 join
+/// and the Model 3 aggregate (where query modification recomputes it).
 bool SupportsModel(StrategyKind kind, int model);
 
 /// The torture-sized parameter set (small database, small transactions)
 /// shared by the fault sweep and the crash oracle.
 costmodel::Params TortureParams(const costmodel::Params& base);
-
-/// AD-file options for crash-safe torture runs (WAL on, sized to the
-/// workload). `lsns` joins the AD log to a shared LSN space when non-null;
-/// `group_commit` leaves the per-commit sync to the batch boundary (see
-/// AdFile::Options::sync_on_commit).
-hr::AdFile::Options TortureAdOptions(const costmodel::Params& params,
-                                     storage::LsnAllocator* lsns = nullptr,
-                                     bool group_commit = false);
 
 /// The harness's own shadow of the updated relation. Scenario's oracle
 /// mutates when a transaction is *generated*; the torture harness must only
@@ -90,13 +84,6 @@ bool ShadowViewTuple(const ShadowOracle& shadow, int model, int64_t key,
 ViewMultiset ExpectedRange(const ShadowOracle& shadow, int model, int64_t lo,
                            int64_t hi);
 
-/// The scenario's view definitions — Model 1's select-project and Model
-/// 2's join — shared by the driver and the simulator.
-view::SelectProjectDef MakeSpDef(workload::Scenario* scenario,
-                                 db::Relation* base);
-view::JoinDef MakeJoinDef(workload::Scenario* scenario, db::Relation* r1,
-                          db::Relation* r2);
-
 /// From-scratch recompute of the view over the (folded) base relation,
 /// bypassing the strategy entirely — the independent half of the golden
 /// invariant.
@@ -104,24 +91,30 @@ Status RecomputeFromBase(int model, const view::SelectProjectDef& sp,
                          const view::JoinDef& join, db::Relation* rel,
                          ViewMultiset* out);
 
-/// One self-contained torture instance — simulated device behind a
+/// One self-contained engine instance — simulated device behind a
 /// FaultyDisk, buffer pool, catalog, scenario data, one maintenance
-/// strategy, and the recovery machinery wired for it — behind a uniform
-/// interface, so the fault sweep and the crash-equivalence oracle can drive
-/// every strategy through the same loop.
+/// strategy, and (when durable) the recovery machinery wired for it —
+/// behind a uniform interface. It is the one assembly path: the paper
+/// simulation (Simulate), the four oracles, the view server and the
+/// wall-clock benchmark all run driver instances, each owned by one
+/// thread.
 ///
-/// Recovery wiring per strategy (the driver forwards every durability call
-/// to the strategy's view::ViewStrategy hooks):
+/// Recovery wiring per strategy, when Options::durable is set (the driver
+/// forwards every durability call to the strategy's view::ViewStrategy
+/// hooks):
 ///  - query-modification / immediate / snapshot / recompute-on-change
 ///    commit through a RecoveryManager (unified WAL, log-commit-then-apply);
 ///  - deferred / hybrid are journaled(): they use their AD-file WAL
 ///    protocol, with the AD log drawing LSNs from the RecoveryManager's
 ///    allocator so all records share one LSN space.
+/// A non-durable driver (the simulator's) has no RecoveryManager and no AD
+/// log, so its model-ms count only the paper's maintenance work.
 class StrategyDriver {
  public:
   struct Options {
     StrategyKind kind = StrategyKind::kDeferred;
-    /// 1 = select-project view, 2 = join view (see SupportsModel).
+    /// 1 = select-project view, 2 = join view, 3 = aggregate (see
+    /// SupportsModel).
     int model = 1;
     /// Torture-sized already (the driver does not shrink).
     costmodel::Params params;
@@ -137,10 +130,22 @@ class StrategyDriver {
     /// Buffer-pool frames. The default matches the historical hard-coded
     /// pool; bench_server's group-commit tables raise it to 256.
     size_t pool_pages = 128;
+    /// Crash-safe wiring: a RecoveryManager and the AD log. Simulate turns
+    /// it off, so the paper's numbers carry no logging cost. Model 3
+    /// requires it off: the aggregates do not recover yet.
+    bool durable = true;
+    /// How query modification reads R on Model 1: kQmClustered (the
+    /// clustered B+-tree), kQmUnclustered (R loaded as a heap) or
+    /// kQmSequential (a full scan). Any other kind or model takes the
+    /// default only.
+    costmodel::Strategy qm_plan = costmodel::Strategy::kQmClustered;
   };
 
   /// Loads the scenario database on a healthy device, builds the strategy,
-  /// initializes its materialized state, and flushes the pool.
+  /// initializes its materialized state, and flushes the pool. Rejects an
+  /// unsupported kind × model, Model 3 with durability on, and a
+  /// non-clustered qm_plan outside Model 1's query modification; each
+  /// message names the field.
   static StatusOr<std::unique_ptr<StrategyDriver>> Create(
       const Options& options);
 
@@ -196,6 +201,7 @@ class StrategyDriver {
   workload::Scenario* scenario() { return &scenario_; }
   const view::SelectProjectDef& sp_def() const { return sp_def_; }
   const view::JoinDef& join_def() const { return join_def_; }
+  /// Null when the driver is not durable.
   db::RecoveryManager* recovery() { return recovery_.get(); }
   int model() const { return options_.model; }
   /// True for the strategies that commit through their AD log and run the

@@ -1,13 +1,12 @@
 #ifndef VIEWMAT_STORAGE_COST_TRACKER_H_
 #define VIEWMAT_STORAGE_COST_TRACKER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <thread>
 
 #include "common/logging.h"
+#include "common/owner_check.h"
 #include "obs/trace.h"
 
 namespace viewmat::storage {
@@ -179,37 +178,37 @@ struct AttributedCounters {
 /// belongs to exactly one simulation, and every charge/swap/read happens on
 /// the thread running that simulation. Parallel sweeps get one tracker per
 /// task, never a shared one (model time is per-run anyway, so sharing would
-/// be meaningless as well as racy). Debug builds assert the contract: the
-/// first charging thread claims the tracker, and any charge or tag swap
-/// from a different thread trips a VIEWMAT_DCHECK. Reset() releases the
-/// claim along with the counters.
+/// be meaningless as well as racy). Debug builds assert the contract with
+/// a common::OwnerCheck: the first charging thread claims the tracker, and
+/// any charge or tag swap from a different thread trips a VIEWMAT_DCHECK.
+/// Reset() releases the claim along with the counters.
 class CostTracker : public obs::VirtualClock {
  public:
   CostTracker(double c1 = 1.0, double c2 = 30.0, double c3 = 1.0)
       : c1_(c1), c2_(c2), c3_(c3) {}
 
   void ChargeRead(uint64_t pages = 1) {
-    VIEWMAT_DCHECK(CalledByOwner());
+    VIEWMAT_DCHECK(owner_.CalledByOwner());
     counters_.disk_reads += pages;
     Cell().disk_reads += pages;
   }
   void ChargeWrite(uint64_t pages = 1) {
-    VIEWMAT_DCHECK(CalledByOwner());
+    VIEWMAT_DCHECK(owner_.CalledByOwner());
     counters_.disk_writes += pages;
     Cell().disk_writes += pages;
   }
   void ChargeScreen(uint64_t tuples = 1) {
-    VIEWMAT_DCHECK(CalledByOwner());
+    VIEWMAT_DCHECK(owner_.CalledByOwner());
     counters_.screen_tests += tuples;
     Cell().screen_tests += tuples;
   }
   void ChargeTupleCpu(uint64_t tuples = 1) {
-    VIEWMAT_DCHECK(CalledByOwner());
+    VIEWMAT_DCHECK(owner_.CalledByOwner());
     counters_.tuple_cpu_ops += tuples;
     Cell().tuple_cpu_ops += tuples;
   }
   void ChargeAdSetOp(uint64_t tuples = 1) {
-    VIEWMAT_DCHECK(CalledByOwner());
+    VIEWMAT_DCHECK(owner_.CalledByOwner());
     counters_.ad_set_ops += tuples;
     Cell().ad_set_ops += tuples;
   }
@@ -219,20 +218,20 @@ class CostTracker : public obs::VirtualClock {
   void Reset() {
     counters_ = CostCounters();
     attributed_ = AttributedCounters();
-    owner_.store(std::thread::id(), std::memory_order_relaxed);
+    owner_.Release();
   }
 
   Component component() const { return component_; }
   Phase phase() const { return phase_; }
   /// Prefer ScopedComponent/ScopedPhase; these exist for the RAII guards.
   Component SwapComponent(Component c) {
-    VIEWMAT_DCHECK(CalledByOwner());
+    VIEWMAT_DCHECK(owner_.CalledByOwner());
     const Component prev = component_;
     component_ = c;
     return prev;
   }
   Phase SwapPhase(Phase p) {
-    VIEWMAT_DCHECK(CalledByOwner());
+    VIEWMAT_DCHECK(owner_.CalledByOwner());
     const Phase prev = phase_;
     phase_ = p;
     return prev;
@@ -264,20 +263,6 @@ class CostTracker : public obs::VirtualClock {
  private:
   CostCounters& Cell() { return attributed_.at(component_, phase_); }
 
-  /// True iff the calling thread owns this tracker. The first caller
-  /// claims an unowned tracker (CAS from the default thread::id), so the
-  /// check is self-initializing and costs one relaxed load on the owner's
-  /// path. Debug-only via VIEWMAT_DCHECK at the call sites.
-  bool CalledByOwner() {
-    const std::thread::id self = std::this_thread::get_id();
-    std::thread::id expected;  // default id = unowned
-    if (owner_.compare_exchange_strong(expected, self,
-                                       std::memory_order_relaxed)) {
-      return true;
-    }
-    return expected == self;
-  }
-
   double c1_;
   double c2_;
   double c3_;
@@ -286,7 +271,7 @@ class CostTracker : public obs::VirtualClock {
   Component component_ = Component::kUnattributed;
   Phase phase_ = Phase::kUnphased;
   obs::Tracer* tracer_ = nullptr;
-  std::atomic<std::thread::id> owner_{};  ///< default id until first charge
+  common::OwnerCheck owner_;  ///< claimed by the first charge
 };
 
 /// RAII component tag: charges made while alive are attributed to `c`.

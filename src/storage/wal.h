@@ -1,7 +1,7 @@
 #ifndef VIEWMAT_STORAGE_WAL_H_
 #define VIEWMAT_STORAGE_WAL_H_
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -20,24 +20,18 @@ namespace viewmat::storage {
 /// reused), only monotonicity matters.
 class LsnAllocator {
  public:
-  Lsn Next() { return next_.fetch_add(1, std::memory_order_relaxed); }
+  Lsn Next() { return next_++; }
 
   /// Raises the counter so the next LSN is strictly greater than `lsn`.
   /// Called when a log resynchronizes from the device and discovers durable
   /// records this allocator instance has not seen.
-  void EnsureAtLeast(Lsn lsn) {
-    Lsn cur = next_.load(std::memory_order_relaxed);
-    while (cur <= lsn &&
-           !next_.compare_exchange_weak(cur, lsn + 1,
-                                        std::memory_order_relaxed)) {
-    }
-  }
+  void EnsureAtLeast(Lsn lsn) { next_ = std::max(next_, lsn + 1); }
 
   /// Largest LSN handed out so far (0 if none).
-  Lsn last() const { return next_.load(std::memory_order_relaxed) - 1; }
+  Lsn last() const { return next_ - 1; }
 
  private:
-  std::atomic<Lsn> next_{1};
+  Lsn next_ = 1;
 };
 
 /// An LSN-stamped, checksummed redo log: the one log service behind the

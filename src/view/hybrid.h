@@ -1,7 +1,7 @@
 #ifndef VIEWMAT_VIEW_HYBRID_H_
 #define VIEWMAT_VIEW_HYBRID_H_
 
-#include <atomic>
+#include <cstdint>
 
 #include "common/status.h"
 #include "hr/ad_file.h"
@@ -69,10 +69,8 @@ class HybridStrategy : public DeferredStrategy {
   Estimate EstimateQuery(int64_t lo, int64_t hi) const;
 
  private:
-  // Atomic: bumped on the query read path, which the server may run from
-  // several workers at once when no refresh work is pending.
-  std::atomic<uint64_t> qm_choices_{0};
-  std::atomic<uint64_t> view_choices_{0};
+  uint64_t qm_choices_ = 0;
+  uint64_t view_choices_ = 0;
   uint64_t forced_refreshes_ = 0;
   uint64_t max_pending_ = 256;
   double refresh_amortization_ = 4.0;

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/json.h"
 
@@ -103,46 +101,6 @@ TEST(MetricsRegistry, WriteJsonProducesParseableDocument) {
   EXPECT_EQ(h.Find("sum")->number, 42);
   EXPECT_EQ(h.Find("bounds")->items.size(), 2u);
   EXPECT_EQ(h.Find("counts")->items.size(), 3u);
-}
-
-/// N threads hammer the same counter, per-thread counters, and one shared
-/// histogram. Totals must be exact — lost updates would show up as
-/// undercounts, and TSan would flag any unsynchronized access.
-TEST(MetricsRegistry, ConcurrentUpdatesAreExact) {
-  MetricsRegistry registry;
-  constexpr int kThreads = 8;
-  constexpr int kIters = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, t] {
-      Counter* shared = registry.GetCounter("shared_total");
-      Counter* mine = registry.GetCounter(
-          "per_thread_total", {{"thread", std::to_string(t)}});
-      Histogram* h = registry.GetHistogram("obs_ms", {}, {10.0, 100.0});
-      for (int i = 0; i < kIters; ++i) {
-        shared->Increment();
-        mine->Increment(2);
-        h->Observe(static_cast<double>(i % 200));
-        if (i % 1000 == 0) {
-          // Snapshots while other threads write must be safe.
-          (void)registry.ToString();
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  EXPECT_EQ(registry.GetCounter("shared_total")->value(),
-            static_cast<uint64_t>(kThreads) * kIters);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(registry
-                  .GetCounter("per_thread_total",
-                              {{"thread", std::to_string(t)}})
-                  ->value(),
-              static_cast<uint64_t>(2 * kIters));
-  }
-  Histogram* h = registry.GetHistogram("obs_ms", {}, {10.0, 100.0});
-  EXPECT_EQ(h->count(), static_cast<uint64_t>(kThreads) * kIters);
 }
 
 }  // namespace

@@ -1,39 +1,12 @@
 #include "obs/timeseries.h"
 
 #include <cmath>
-#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 
 namespace viewmat::obs {
 namespace {
-
-// ---------------------------------------------------------------- counters
-
-TEST(WindowedCounter, EmptyWindowsCostNothingAndReadZero) {
-  WindowedCounter c(100.0);
-  c.Add(50.0);       // window 0
-  c.Add(100250.0);   // window 1002, a thousand idle windows later
-  EXPECT_EQ(c.total(), 2u);
-  const auto windows = c.Snapshot();
-  ASSERT_EQ(windows.size(), 2u);  // sparse: the idle gap stores nothing
-  EXPECT_EQ(windows[0].index, 0);
-  EXPECT_EQ(windows[1].index, 1002);
-  EXPECT_EQ(c.CountAt(550.0), 0u);  // an empty window reads zero
-}
-
-TEST(WindowedCounter, BoundarySampleOpensTheNextWindow) {
-  WindowedCounter c(100.0);
-  c.Add(99.999999);
-  c.Add(100.0);  // half-open [0,100): exactly 100 belongs to window 1
-  const auto windows = c.Snapshot();
-  ASSERT_EQ(windows.size(), 2u);
-  EXPECT_EQ(windows[0].index, 0);
-  EXPECT_EQ(windows[0].count, 1u);
-  EXPECT_EQ(windows[1].index, 1);
-  EXPECT_EQ(windows[1].count, 1u);
-}
 
 // ------------------------------------------------------------------- ewma
 
@@ -135,55 +108,6 @@ TEST(SlidingWindowHistogram, MergedCountsSpanOnlyTheTrailingWindows) {
   EXPECT_EQ(h.MergedCount(250.0), 3u);
   // Viewed from window 3 the trailing 3 windows are {1, 2, 3}.
   EXPECT_EQ(h.MergedCount(350.0), 2u);
-}
-
-TEST(SlidingWindowHistogram, MergeOnSnapshotUnderEightThreads) {
-  // Eight workers hammer one shared histogram within a fixed window, then
-  // the merged snapshot must account for every sample exactly once. This is
-  // the --jobs 8 sharing shape; determinism of *timestamps* stays with the
-  // caller, so all samples target the same window here.
-  SlidingWindowHistogram h(Bounds(), 1000.0, 4);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 5000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&h, w] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // Spread across buckets deterministically per thread.
-        const double v = (w % 2 == 0) ? 0.5 : 50.0;
-        h.Observe(500.0, v);
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  EXPECT_EQ(h.MergedCount(500.0), uint64_t{kThreads} * kPerThread);
-  const auto counts = h.MergedCounts(500.0);
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], uint64_t{kThreads} / 2 * kPerThread);
-  EXPECT_EQ(counts[2], uint64_t{kThreads} / 2 * kPerThread);
-}
-
-TEST(WindowedCounter, MergeOnSnapshotUnderEightThreads) {
-  WindowedCounter c(100.0);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&c, w] {
-      for (int i = 0; i < kPerThread; ++i) {
-        c.Add(100.0 * (w % 4) + 50.0);  // four distinct windows
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  EXPECT_EQ(c.total(), uint64_t{kThreads} * kPerThread);
-  const auto windows = c.Snapshot();
-  ASSERT_EQ(windows.size(), 4u);
-  for (const auto& w : windows) {
-    EXPECT_EQ(w.count, uint64_t{2} * kPerThread);
-  }
 }
 
 }  // namespace

@@ -244,13 +244,30 @@ TEST(ViewServer, EmitsSpansAndMetrics) {
       SmallOptions(sim::StrategyKind::kDeferred, 1);
   options.metrics = &metrics;
   options.tracer = &tracer;
-  const ViewServer::Result result = MustRun(options);
-  // One server.txn / server.query root span per executed op.
+  auto server = ViewServer::Create(options);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  auto run = (*server)->Run();
+  ASSERT_TRUE(run.ok()) << run.status().message();
+  const ViewServer::Result& result = *run;
+  const storage::CostTracker& tracker = *(*server)->driver()->tracker();
+  // One server.txn / server.query root span per executed op, on the model
+  // clock: each starts where the previous op retired, ends at its own
+  // commit stamp, and so lasts exactly its op's model cost.
   size_t roots = 0;
+  double previous_end = 0.0;
   for (const obs::Span& span : tracer.spans()) {
-    if (span.name == "server.txn" || span.name == "server.query") ++roots;
+    if (span.name != "server.txn" && span.name != "server.query") continue;
+    ASSERT_LT(roots, result.ops.size());
+    const ViewServer::OpResult& op = result.ops[roots++];
+    EXPECT_EQ(span.parent, 0u);
+    EXPECT_EQ(span.begin_ms, previous_end);
+    EXPECT_EQ(span.end_ms, op.commit_ms);
+    EXPECT_EQ(span.end_ms - span.begin_ms, tracker.Ms(op.cost));
+    previous_end = span.end_ms;
   }
   EXPECT_EQ(roots, result.ops.size());
+  EXPECT_EQ(previous_end, result.model_ms);
+  EXPECT_GT(result.model_ms, 0.0);
   EXPECT_GE(metrics.counter_count(), 8u);
   EXPECT_EQ(metrics.histogram_count(), 1u);
 }
