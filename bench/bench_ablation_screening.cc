@@ -16,7 +16,7 @@
 #include "db/catalog.h"
 #include "sim/bench_report.h"
 #include "sim/report.h"
-#include "view/screening_modes.h"
+#include "view/screening.h"
 
 using namespace viewmat;
 
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
               view::ScreeningMode::kSubstituteAll,
               view::ScreeningMode::kRiu}) {
           meter.Reset();
-          view::UpdateScreen screen(mode, pred, 0, reads, &meter);
+          view::UpdateScreen screen(pred, 0, &meter, mode, reads);
           Random rng(11);
           int64_t tuples = 0;
           for (int t = 0; t < kTxns; ++t) {

@@ -2,8 +2,8 @@
 // "It may be worthwhile to refresh all the views whenever it is necessary
 // to read the contents of the A and D sets ... since this would eliminate
 // the need to read the hypothetical database again." We register V views
-// over one base in a DeferredViewGroup, run a workload, and measure the AD
-// read amortization against V independent refresh waves.
+// over one base as the members of one DeferredStrategy, run a workload, and
+// measure the AD read amortization against V independent refresh waves.
 
 #include <cstdio>
 #include <string>
@@ -14,7 +14,7 @@
 #include "db/catalog.h"
 #include "sim/bench_report.h"
 #include "sim/report.h"
-#include "view/view_group.h"
+#include "view/deferred.h"
 
 using namespace viewmat;
 
@@ -54,15 +54,17 @@ int main(int argc, char** argv) {
     hr::AdFile::Options ad;
     ad.hash_buckets = 4;
     ad.expected_keys = 1024;
-    view::DeferredViewGroup group(base, ad, &tracker);
-    for (int i = 0; i < v_count; ++i) {
+    auto member_def = [base](int i) {
       view::SelectProjectDef def;
       def.base = base;
       def.predicate = db::Predicate::Between(0, i * 200, i * 200 + 399);
       def.projection = {0, 2};
       def.view_key_field = 0;
-      (void)group.AddView(def);
-    }
+      return def;
+    };
+    view::DeferredStrategy group(member_def(0), ad, &tracker);
+    (void)group.InitializeFromBase();
+    for (int i = 1; i < v_count; ++i) (void)group.AddView(member_def(i));
     // Accumulate a differential, then refresh once with a cold cache and
     // count the reads attributable to the shared AD scan.
     Random rng(7);
@@ -86,7 +88,7 @@ int main(int argc, char** argv) {
                                 : (group.pending_tuples() * 109) / 4000 + 1;
     (void)pool.FlushAndEvictAll();
     const auto before = tracker.counters();
-    (void)group.RefreshAll();
+    (void)group.Refresh();
     const auto delta = tracker.counters() - before;
     // The shared design reads the AD pages once; per-view refreshes would
     // read them once per member.

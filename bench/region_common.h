@@ -12,8 +12,8 @@
 namespace viewmat::bench {
 
 // Candidate sets and evaluators come from the shared costmodel definitions
-// (ModelCandidates / ModelCostFn) — the same ones the advisor and the
-// explain reports rank, so the figures can never drift from them.
+// (ModelCandidates / ModelCostFn) — the same ones the advisor's explain
+// reports rank, so the figures can never drift from them.
 
 inline double Model1CostOrInf(costmodel::Strategy s,
                               const costmodel::Params& p) {

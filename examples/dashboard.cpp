@@ -1,5 +1,5 @@
 // A reporting dashboard built from the library's extension features:
-//  - a DeferredViewGroup keeps several selection views over one orders
+//  - one DeferredStrategy keeps several selection views over one orders
 //    table behind a single shared AD differential (§4's multi-view
 //    refresh optimization), and
 //  - a MaterializedAggregate keeps revenue per region (a GROUP BY
@@ -7,8 +7,9 @@
 //    from the same transaction stream.
 // Sales transactions stream in; redrawing the dashboard costs one shared
 // fold plus one read of the revenue page instead of any base-table scans.
-// The view group owns applying transactions to the base (it defers them in
-// its differential); the aggregate consumes the same net changes directly.
+// The deferred strategy owns applying transactions to the base (it defers
+// them in its differential); the aggregate consumes the same net changes
+// directly.
 // The program exits nonzero if any library call fails.
 
 #include <cstdio>
@@ -18,7 +19,7 @@
 #include "common/random.h"
 #include "db/catalog.h"
 #include "view/aggregate.h"
-#include "view/view_group.h"
+#include "view/deferred.h"
 
 using namespace viewmat;
 using viewmat::examples::Check;
@@ -53,15 +54,17 @@ int main() {
     Check(orders->Insert(Order(id, id % kRegions, amounts[id])));
   }
 
-  // Panel views sharing one differential: "recent orders" and "backlog".
-  view::DeferredViewGroup panels(orders, hr::AdFile::Options{}, &tracker);
+  // Panel views sharing one differential: "recent orders" (member 0) and
+  // "backlog".
   view::SelectProjectDef recent;
   recent.base = orders;
   recent.predicate = db::Predicate::Compare(0, db::CompareOp::kGe,
                                             db::Value(kOrders - 200));
   recent.projection = {0, 2};
   recent.view_key_field = 0;
-  const size_t kRecent = Check(panels.AddView(recent));
+  view::DeferredStrategy panels(recent, hr::AdFile::Options{}, &tracker);
+  Check(panels.InitializeFromBase());
+  const size_t kRecent = 0;
   view::SelectProjectDef backlog;
   backlog.base = orders;
   backlog.predicate = db::Predicate::Compare(0, db::CompareOp::kLt,
@@ -87,7 +90,7 @@ int main() {
   auto redraw = [&](int frame) {
     std::printf("======= sales dashboard, frame %d (shared folds so far: "
                 "%llu) =======\n",
-                frame, static_cast<unsigned long long>(panels.fold_count()));
+                frame, static_cast<unsigned long long>(panels.refresh_count()));
     std::printf("revenue by region:\n");
     Check(by_region.Read(&regions));
     for (const auto& [region, state] : regions) {
@@ -96,18 +99,18 @@ int main() {
     }
     double recent_total = 0;
     size_t recent_count = 0;
-    Check(panels.Query(kRecent, 0, 1 << 30,
-                       [&](const db::Tuple& t, int64_t) {
-                         recent_total += t.at(1).AsDouble();
-                         ++recent_count;
-                         return true;
-                       }));
+    Check(panels.QueryView(kRecent, 0, 1 << 30,
+                           [&](const db::Tuple& t, int64_t) {
+                             recent_total += t.at(1).AsDouble();
+                             ++recent_count;
+                             return true;
+                           }));
     size_t backlog_count = 0;
-    Check(panels.Query(kBacklog, 0, 1 << 30,
-                       [&](const db::Tuple&, int64_t) {
-                         ++backlog_count;
-                         return true;
-                       }));
+    Check(panels.QueryView(kBacklog, 0, 1 << 30,
+                           [&](const db::Tuple&, int64_t) {
+                             ++backlog_count;
+                             return true;
+                           }));
     std::printf("recent orders: %zu totaling %.2f | backlog rows: %zu\n\n",
                 recent_count, recent_total, backlog_count);
   };

@@ -12,9 +12,9 @@
 #include "costmodel/model2.h"
 #include "db/catalog.h"
 #include "hr/ad_file.h"
+#include "obs/explain.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk.h"
-#include "view/advisor.h"
 #include "view/immediate.h"
 #include "view/query_modification.h"
 
@@ -40,9 +40,8 @@ int main() {
   params.f = 1.0;            // the view covers every employee
   params.l = 1.0;            // updates change one EMPLOYEE tuple
   params.f_v = 1.0 / params.N;  // queries fetch a single EMP-DEPT record
-  std::printf("%s\n", view::AdviceReport(view::Advise(
-                          view::ViewModel::kJoin,
-                          params.WithUpdateProbability(0.2)))
+  std::printf("%s\n", obs::ExplainText(obs::BuildExplain(
+                          2, params.WithUpdateProbability(0.2)))
                           .c_str());
 
   // --- Now the real thing --------------------------------------------------

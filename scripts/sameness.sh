@@ -11,11 +11,27 @@
 # the verdict.
 # check.sh's 5% regression gate is the looser, everyday check.
 #
-# Usage: scripts/sameness.sh
+# With --parent <build-dir> (a build of the tree the change starts from) it
+# also runs every bench target bench/CMakeLists.txt defines, in full mode at
+# --jobs 1, from both build directories, diffs their stdout, and fails
+# naming the first bench whose output differs. Skipped: bench_yao_micro
+# (prints wall-clock nanoseconds), bench_diff and bench_schema_check (tools,
+# not benches). This covers the benches whose output is in no committed
+# report.
+#
+# Usage: scripts/sameness.sh [--parent <build-dir>]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 jobs=$(nproc 2>/dev/null || echo 2)
+parent=""
+if [[ "${1:-}" == "--parent" ]]; then
+  parent="${2:?usage: scripts/sameness.sh [--parent <build-dir>]}"
+  [[ -d "$parent/bench" ]] || { echo "no bench/ under $parent"; exit 2; }
+elif [[ $# -gt 0 ]]; then
+  echo "usage: scripts/sameness.sh [--parent <build-dir>]"
+  exit 2
+fi
 
 cmake -S . -B build >/dev/null
 cmake --build build -j "$jobs" >/dev/null
@@ -102,8 +118,39 @@ PY
   fi
 done
 
+if [[ -n "$parent" ]]; then
+  # The bench list comes from the tree, not from the binaries in build/:
+  # a build directory keeps binaries of benches the tree no longer defines.
+  out=build/sameness
+  mkdir -p "$out"
+  first=""
+  for bench in $(sed -nE 's/^(viewmat_bench|add_executable)\((bench_[a-z0-9_]+).*/\2/p' \
+      bench/CMakeLists.txt); do
+    case "$bench" in
+      bench_yao_micro | bench_diff | bench_schema_check) continue ;;
+    esac
+    if [[ ! -x "$parent/bench/$bench" ]]; then
+      echo "$bench: missing from $parent"
+      first=${first:-$bench}
+      continue
+    fi
+    "$parent/bench/$bench" --jobs 1 >"$out/$bench.parent.txt"
+    "./build/bench/$bench" --jobs 1 >"$out/$bench.tree.txt"
+    if cmp -s "$out/$bench.parent.txt" "$out/$bench.tree.txt"; then
+      echo "$bench: stdout identical"
+    else
+      echo "$bench: stdout differs (diff $out/$bench.parent.txt $out/$bench.tree.txt)"
+      first=${first:-$bench}
+    fi
+  done
+  if [[ -n "$first" ]]; then
+    echo "first bench that differs or is missing: $first"
+    clean=0
+  fi
+fi
+
 if [[ "$clean" != 1 ]]; then
-  echo "sameness.sh: FAILED (a logical field moved)"
+  echo "sameness.sh: FAILED (a logical field or a bench's stdout moved)"
   exit 1
 fi
 echo "sameness.sh: OK"

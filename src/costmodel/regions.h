@@ -53,9 +53,9 @@ Strategy Winner(const CostFn& cost, const std::vector<Strategy>& candidates,
                 const Params& p);
 
 /// The strategies applicable to a view model (1 = select-project, 2 = join,
-/// 3 = aggregate) — the candidate sets the paper's figures, the advisor,
-/// and the explain reports all rank. One definition so they can never
-/// drift apart.
+/// 3 = aggregate) — the candidate sets the paper's figures and the advisor's
+/// explain reports both rank. One definition so they can never drift
+/// apart.
 const std::vector<Strategy>& ModelCandidates(int model);
 
 /// The model's TOTAL_* evaluator packaged as a CostFn. Parameter points a

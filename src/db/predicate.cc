@@ -35,6 +35,14 @@ IntervalSet::IntervalSet(const Interval& interval) {
   intervals_.push_back(interval);
 }
 
+IntervalSet::IntervalSet(std::vector<Interval> intervals)
+    : intervals_(std::move(intervals)) {
+  std::erase_if(intervals_, [](const Interval& i) {
+    return i.lo && i.hi && *i.lo > *i.hi;
+  });
+  Normalize();
+}
+
 bool IntervalSet::Contains(int64_t v) const {
   for (const Interval& i : intervals_) {
     if (i.Contains(v)) return true;
@@ -130,16 +138,6 @@ IntervalSet IntervalSet::Complement(const IntervalSet& a) {
   }
   out.intervals_.push_back(Interval{next_uncovered, kMax});
   return out;
-}
-
-Interval IntervalSet::Hull() const {
-  if (intervals_.empty()) {
-    // Empty set: represent as an impossible interval.
-    return Interval{1, 0};
-  }
-  Interval hull = intervals_.front();
-  hull.hi = intervals_.back().hi;
-  return hull;
 }
 
 PredicateRef Predicate::True() {

@@ -40,6 +40,8 @@ class IntervalSet {
   IntervalSet() = default;
   /// A single interval (normalizing the unbounded/empty cases).
   explicit IntervalSet(const Interval& interval);
+  /// The union of `intervals` (empty ones dropped), normalized in one sort.
+  explicit IntervalSet(std::vector<Interval> intervals);
 
   static IntervalSet All() { return IntervalSet(Interval{}); }
   static IntervalSet Empty() { return IntervalSet(); }
@@ -54,9 +56,6 @@ class IntervalSet {
   static IntervalSet Union(const IntervalSet& a, const IntervalSet& b);
   static IntervalSet Intersect(const IntervalSet& a, const IntervalSet& b);
   static IntervalSet Complement(const IntervalSet& a);
-
-  /// The convex hull (what the single-interval screen used).
-  Interval Hull() const;
 
  private:
   void Normalize();

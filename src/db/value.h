@@ -17,18 +17,6 @@ enum class ValueType : uint8_t {
   kString = 2,
 };
 
-inline const char* ValueTypeName(ValueType t) {
-  switch (t) {
-    case ValueType::kInt64:
-      return "int64";
-    case ValueType::kDouble:
-      return "double";
-    case ValueType::kString:
-      return "string";
-  }
-  return "?";
-}
-
 /// A typed column value.
 class Value {
  public:

@@ -374,9 +374,7 @@ StatusOr<ChaosOracleResult> RunChaosOracle(const ChaosOracleOptions& options) {
     return Status::InvalidArgument(
         "ChaosOracleOptions::ops_per_client must be > 0");
   }
-  const costmodel::Params params = options.shrink_params
-                                       ? sim::TortureParams(options.params)
-                                       : options.params;
+  const costmodel::Params params = sim::TortureParams(options.params);
   VIEWMAT_RETURN_IF_ERROR(params.Validate());
 
   // Each run is a self-contained single-threaded simulation; the fan-out

@@ -36,8 +36,7 @@ const char* ChaosProfileName(ChaosProfile profile);
 struct ChaosOracleOptions {
   sim::StrategyKind kind = sim::StrategyKind::kDeferred;
   int model = 1;
-  costmodel::Params params;
-  bool shrink_params = true;  ///< apply TortureParams (the default)
+  costmodel::Params params;  ///< shaped by TortureParams
   ChaosProfile profile = ChaosProfile::kClean;
   uint64_t seed = 1;  ///< base seed; run r uses a derived seed
   int runs = 4;       ///< seeded runs to execute for this cell

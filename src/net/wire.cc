@@ -23,19 +23,6 @@ bool Get(const uint8_t* data, size_t len, size_t* off, T* out) {
 
 }  // namespace
 
-const char* MsgTypeName(MsgType t) {
-  switch (t) {
-    case MsgType::kOpenSession: return "open_session";
-    case MsgType::kOpenAck: return "open_ack";
-    case MsgType::kCommit: return "commit";
-    case MsgType::kQuery: return "query";
-    case MsgType::kReply: return "reply";
-    case MsgType::kRefreshPing: return "refresh_ping";
-    case MsgType::kRefreshAck: return "refresh_ack";
-  }
-  return "?";
-}
-
 const char* WireStatusName(WireStatus s) {
   switch (s) {
     case WireStatus::kOk: return "ok";

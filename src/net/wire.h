@@ -41,7 +41,6 @@ enum class WireStatus : uint8_t {
   kRejected = 3,
 };
 
-const char* MsgTypeName(MsgType t);
 const char* WireStatusName(WireStatus s);
 
 /// One wire message. The transport carries the *encoded* form (Encode /

@@ -31,14 +31,14 @@ db::IntervalSet ReaderIntervals(const db::IntervalSet& screen, int64_t lo,
 
 /// The X-side interval set for an update: one point interval per distinct
 /// victim key (net A/D keys — old and new tuples share the key, only the
-/// payload changes).
+/// payload changes), normalized once.
 db::IntervalSet WriterIntervals(const sim::Victims& victims) {
-  db::IntervalSet keys;
+  std::vector<db::Interval> points;
+  points.reserve(victims.size());
   for (const auto& [key, new_v] : victims) {
-    keys = db::IntervalSet::Union(keys,
-                                  db::IntervalSet(db::Interval{key, key}));
+    points.push_back(db::Interval{key, key});
   }
-  return keys;
+  return db::IntervalSet(std::move(points));
 }
 
 bool IsWriter(const ScheduledOp& op) { return op.kind == OpKind::kUpdate; }

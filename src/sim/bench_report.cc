@@ -227,15 +227,6 @@ size_t BenchCli::effective_jobs() const {
   return jobs > 0 ? jobs : common::DefaultJobs();
 }
 
-void BenchReport::AddExecutionNote(std::string_view key,
-                                   std::string_view value) {
-  // The determinism check removes the execution block with brace-matching
-  // textual surgery; a brace inside a value would cut the block short.
-  VIEWMAT_DCHECK(value.find('{') == std::string_view::npos &&
-                 value.find('}') == std::string_view::npos);
-  execution_notes_.emplace_back(key, value);
-}
-
 std::string BenchReport::ToJson() const {
   JsonWriter w;
   w.BeginObject();
@@ -257,7 +248,6 @@ std::string BenchReport::ToJson() const {
   w.KV("hardware_threads",
        static_cast<uint64_t>(std::thread::hardware_concurrency()));
   w.KV("wall_seconds", wall_seconds);
-  for (const auto& [k, v] : execution_notes_) w.KV(k, v);
   w.EndObject();
   w.Key("notes");
   w.BeginObject();

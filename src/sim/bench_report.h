@@ -64,11 +64,6 @@ class BenchReport {
   void AddNote(std::string_view key, std::string_view value) {
     notes_.emplace_back(key, value);
   }
-  /// Adds a key to the execution block — the one place for measurements
-  /// that legitimately vary with --jobs (wall waits, blocked counts).
-  /// Values must stay flat: the determinism check strips the block with
-  /// textual surgery, so no braces are allowed in the value.
-  void AddExecutionNote(std::string_view key, std::string_view value);
   /// Attach a metrics registry / tracer (not owned; must outlive ToJson).
   void set_metrics(const obs::MetricsRegistry* metrics) { metrics_ = metrics; }
   void set_tracer(const obs::Tracer* tracer) { tracer_ = tracer; }
@@ -88,7 +83,6 @@ class BenchReport {
   std::vector<SimResult> sim_results_;
   std::vector<obs::ExplainReport> explains_;
   std::vector<std::pair<std::string, std::string>> notes_;
-  std::vector<std::pair<std::string, std::string>> execution_notes_;
   const obs::MetricsRegistry* metrics_ = nullptr;
   const obs::Tracer* tracer_ = nullptr;
 };

@@ -158,8 +158,7 @@ StatusOr<CrashOracleResult> RunCrashOracle(const CrashOracleOptions& options) {
   if (options.ops_per_run <= 0) {
     return Status::InvalidArgument("ops_per_run must be > 0");
   }
-  const Params params =
-      options.shrink_params ? TortureParams(options.params) : options.params;
+  const Params params = TortureParams(options.params);
   VIEWMAT_RETURN_IF_ERROR(params.Validate());
 
   // Healthy baseline: measures the crash window and must be flawless —

@@ -29,10 +29,9 @@ struct CrashOracleOptions {
   /// RecoveryManager auto-checkpoint cadence for the RM-committing
   /// strategies (0 = no automatic checkpoints).
   size_t checkpoint_every = 0;
-  /// Base parameter set; when shrink_params is set the shape fields are
-  /// overridden with a small torture-sized database.
+  /// Base parameter set; TortureParams overrides its shape fields with a
+  /// small torture-sized database.
   costmodel::Params params;
-  bool shrink_params = true;
 };
 
 /// Aggregate outcome of one oracle run.

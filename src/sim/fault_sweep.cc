@@ -171,8 +171,7 @@ StatusOr<FaultSweepResult> SimulateFaultSweep(const FaultSweepOptions& options) 
   if (options.runs_per_rate <= 0 || options.ops_per_run <= 0) {
     return Status::InvalidArgument("runs_per_rate and ops_per_run must be > 0");
   }
-  const Params params =
-      options.shrink_params ? TortureParams(options.params) : options.params;
+  const Params params = TortureParams(options.params);
   VIEWMAT_RETURN_IF_ERROR(params.Validate());
 
   for (const double rate : options.fault_rates) {

@@ -40,10 +40,9 @@ struct FaultSweepOptions {
   /// AD-journaled strategies (deferred/hybrid), at a random disk operation
   /// for the RecoveryManager-committing ones.
   bool scripted_crashes = true;
-  /// Base parameter set; when shrink_params is set the shape fields are
-  /// overridden with a small torture-sized database.
+  /// Base parameter set; TortureParams overrides its shape fields with a
+  /// small torture-sized database.
   costmodel::Params params;
-  bool shrink_params = true;
 };
 
 /// Aggregate outcomes for one fault rate.

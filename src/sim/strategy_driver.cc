@@ -31,15 +31,6 @@ const char* StrategyKindName(StrategyKind kind) {
   return "unknown";
 }
 
-StatusOr<StrategyKind> ParseStrategyKind(const std::string& name) {
-  for (StrategyKind kind : kAllStrategyKinds) {
-    if (name == StrategyKindName(kind)) return kind;
-  }
-  if (name == "qm") return StrategyKind::kQueryModification;
-  if (name == "recompute") return StrategyKind::kRecomputeOnChange;
-  return Status::InvalidArgument("unknown strategy '" + name + "'");
-}
-
 bool SupportsModel(StrategyKind kind, int model) {
   if (model == 1) return true;
   return (model == 2 || model == 3) &&

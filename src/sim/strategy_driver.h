@@ -43,7 +43,6 @@ inline constexpr StrategyKind kAllStrategyKinds[] = {
 };
 
 const char* StrategyKindName(StrategyKind kind);
-StatusOr<StrategyKind> ParseStrategyKind(const std::string& name);
 
 /// Whether the driver can run `kind` over paper model `model`: every
 /// strategy maintains the Model 1 select-project view; only

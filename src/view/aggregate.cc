@@ -259,7 +259,7 @@ ImmediateAggregateStrategy::ImmediateAggregateStrategy(
     AggregateDef def, storage::CostTracker* tracker)
     : def_(std::move(def)),
       tracker_(tracker),
-      screen_(TLockScreen::ForAggregate(def_, tracker)),
+      screen_(UpdateScreen::ForAggregate(def_, tracker)),
       stored_(def_) {
   VIEWMAT_CHECK(def_.Validate().ok());
 }
@@ -323,7 +323,7 @@ DeferredAggregateStrategy::DeferredAggregateStrategy(
     storage::CostTracker* tracker)
     : def_(std::move(def)),
       tracker_(tracker),
-      screen_(TLockScreen::ForAggregate(def_, tracker)),
+      screen_(UpdateScreen::ForAggregate(def_, tracker)),
       hr_(def_.base, ad_options),
       stored_(def_) {
   VIEWMAT_CHECK(def_.Validate().ok());

@@ -123,7 +123,7 @@ class ImmediateAggregateStrategy : public ViewStrategy {
 
   AggregateDef def_;
   storage::CostTracker* tracker_;
-  TLockScreen screen_;
+  UpdateScreen screen_;
   MaterializedAggregate stored_;
   AggregateGroups groups_;  ///< cached copy of the page
   uint64_t recompute_count_ = 0;
@@ -155,7 +155,7 @@ class DeferredAggregateStrategy : public ViewStrategy {
  private:
   AggregateDef def_;
   storage::CostTracker* tracker_;
-  TLockScreen screen_;
+  UpdateScreen screen_;
   hr::HypotheticalRelation hr_;
   MaterializedAggregate stored_;
 };

@@ -14,36 +14,86 @@ using storage::CrashPoint;
 DeferredStrategy::DeferredStrategy(SelectProjectDef def,
                                    hr::AdFile::Options ad_options,
                                    storage::CostTracker* tracker)
-    : def_(std::move(def)),
-      tracker_(tracker),
-      screen_(MakeScreen(def_, tracker)),
-      hr_(UpdatedRelation(def_), ad_options) {
-  VIEWMAT_CHECK(std::get<SelectProjectDef>(def_).Validate().ok());
-  view_ = MakeView(def_, "deferred_view");
-}
+    : DeferredStrategy(TupleViewDef(std::move(def)), ad_options, tracker) {}
 
 DeferredStrategy::DeferredStrategy(JoinDef def, hr::AdFile::Options ad_options,
                                    storage::CostTracker* tracker)
-    : def_(std::move(def)),
-      tracker_(tracker),
-      screen_(MakeScreen(def_, tracker)),
-      hr_(UpdatedRelation(def_), ad_options) {
-  VIEWMAT_CHECK(std::get<JoinDef>(def_).Validate().ok());
-  view_ = MakeView(def_, "deferred_view");
+    : DeferredStrategy(TupleViewDef(std::move(def)), ad_options, tracker) {}
+
+DeferredStrategy::DeferredStrategy(TupleViewDef def,
+                                   hr::AdFile::Options ad_options,
+                                   storage::CostTracker* tracker)
+    : tracker_(tracker), hr_(UpdatedRelation(def), ad_options) {
+  VIEWMAT_CHECK(
+      std::visit([](const auto& d) { return d.Validate().ok(); }, def));
+  AddMember(std::move(def));
+}
+
+void DeferredStrategy::AddMember(TupleViewDef def) {
+  const std::string name =
+      members_.empty() ? "deferred_view"
+                       : "deferred_view_" + std::to_string(members_.size());
+  UpdateScreen screen = MakeScreen(def, tracker_);
+  std::unique_ptr<MaterializedView> view = MakeView(def, name);
+  members_.push_back(
+      Member{std::move(def), std::move(screen), std::move(view)});
+}
+
+StatusOr<size_t> DeferredStrategy::AddView(const SelectProjectDef& def) {
+  VIEWMAT_RETURN_IF_ERROR(def.Validate());
+  db::Relation* base = updated_relation();
+  if (def.base != base) {
+    return Status::InvalidArgument(
+        "a member view must read the strategy's updated relation");
+  }
+  if (pending_tuples() != 0 || stale()) {
+    return Status::FailedPrecondition(
+        "register views before accumulating differential work");
+  }
+  AddMember(def);
+  // With no differential pending, the base is the visible state.
+  Member& member = members_.back();
+  Status inner = Status::OK();
+  Status st =
+      base->Scan(ViewInserter(member.def, tracker_, member.view.get(), &inner));
+  if (st.ok()) st = inner;
+  if (!st.ok()) {
+    members_.pop_back();
+    return st;
+  }
+  return members_.size() - 1;
+}
+
+Status DeferredStrategy::ClearViews() {
+  for (Member& m : members_) VIEWMAT_RETURN_IF_ERROR(m.view->Clear());
+  return Status::OK();
+}
+
+db::Relation::TupleVisitor DeferredStrategy::ViewsInserter(Status* inner) {
+  std::vector<db::Relation::TupleVisitor> inserters;
+  for (Member& m : members_) {
+    inserters.push_back(ViewInserter(m.def, tracker_, m.view.get(), inner));
+  }
+  return [inserters = std::move(inserters)](const db::Tuple& t) {
+    for (const db::Relation::TupleVisitor& insert : inserters) {
+      if (!insert(t)) return false;
+    }
+    return true;
+  };
 }
 
 Status DeferredStrategy::InitializeFromBase() {
-  VIEWMAT_RETURN_IF_ERROR(view_->Clear());
+  VIEWMAT_RETURN_IF_ERROR(ClearViews());
   Status inner = Status::OK();
-  VIEWMAT_RETURN_IF_ERROR(UpdatedRelation(def_)->Scan(
-      ViewInserter(def_, tracker_, view_.get(), &inner)));
+  VIEWMAT_RETURN_IF_ERROR(updated_relation()->Scan(ViewsInserter(&inner)));
   return inner;
 }
 
 Status DeferredStrategy::OnTransaction(const db::Transaction& txn) {
   const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kUpdateApply);
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "txn");
-  const db::NetChange& net = txn.ChangesFor(UpdatedRelation(def_));
+  db::Relation* base = updated_relation();
+  const db::NetChange& net = txn.ChangesFor(base);
   if (net.empty()) return Status::OK();
   if (crash_safe() &&
       (phase_ == RecoveryPhase::kNeedFold ||
@@ -63,15 +113,19 @@ Status DeferredStrategy::OnTransaction(const db::Transaction& txn) {
   // modified through the hypothetical relation (Bloom screen, AD probe when
   // admitted, base read).
   for (const db::Tuple& t : net.deletes()) {
-    VIEWMAT_RETURN_IF_ERROR(hr_.FindAllByKey(
-        t.at(UpdatedRelation(def_)->key_field()).AsInt64(),
-        [](const db::Tuple&) { return false; }));
+    VIEWMAT_RETURN_IF_ERROR(
+        hr_.FindAllByKey(t.at(base->key_field()).AsInt64(),
+                         [](const db::Tuple&) { return false; }));
   }
   // Screening happens at update time: survivors get their view marker (the
   // mark is re-derivable from the predicate, so no separate store needed —
-  // the C1 stage-2 charge happens here, once).
-  for (const db::Tuple& t : net.deletes()) screen_.Passes(t);
-  for (const db::Tuple& t : net.inserts()) screen_.Passes(t);
+  // the C1 stage-2 charge happens here, once). Every member screens
+  // independently and pays its own C1 for its interval hits, as per-view
+  // rule indexing does.
+  for (Member& m : members_) {
+    for (const db::Tuple& t : net.deletes()) m.screen.Passes(t);
+    for (const db::Tuple& t : net.inserts()) m.screen.Passes(t);
+  }
   // I/O #2 and #3: land the changes in the AD differential file — through
   // the WAL (intents + commit record) when crash safety is on.
   if (crash_safe()) {
@@ -84,23 +138,23 @@ Status DeferredStrategy::OnTransaction(const db::Transaction& txn) {
   return hr_.RecordChanges(net);
 }
 
-Status DeferredStrategy::MapNets(const std::vector<db::Tuple>& a_net,
+Status DeferredStrategy::MapNets(const TupleViewDef& def,
+                                 const std::vector<db::Tuple>& a_net,
                                  const std::vector<db::Tuple>& d_net,
-                                 std::vector<db::Tuple>* view_inserts,
-                                 std::vector<db::Tuple>* view_deletes) {
+                                 ViewDelta* delta) {
   // Only marked (view-relevant) tuples produce view deltas; Map re-checks
   // the predicate without re-charging the screen.
   for (const db::Tuple& t : d_net) {
     db::Tuple value;
     VIEWMAT_ASSIGN_OR_RETURN(const bool contributes,
-                             MapToView(def_, t, &value, tracker_));
-    if (contributes) view_deletes->push_back(std::move(value));
+                             MapToView(def, t, &value, tracker_));
+    if (contributes) delta->deletes.push_back(std::move(value));
   }
   for (const db::Tuple& t : a_net) {
     db::Tuple value;
     VIEWMAT_ASSIGN_OR_RETURN(const bool contributes,
-                             MapToView(def_, t, &value, tracker_));
-    if (contributes) view_inserts->push_back(std::move(value));
+                             MapToView(def, t, &value, tracker_));
+    if (contributes) delta->inserts.push_back(std::move(value));
   }
   return Status::OK();
 }
@@ -112,45 +166,52 @@ Status DeferredStrategy::RefreshUnsafe() {
   std::vector<db::Tuple> a_net;
   std::vector<db::Tuple> d_net;
   // One pass over the AD file (C_ADread), fold into the base relation, and
-  // reset the differential.
+  // reset the differential: the one read serves every member.
   VIEWMAT_RETURN_IF_ERROR(hr_.Fold(&a_net, &d_net));
-  std::vector<db::Tuple> view_inserts;
-  std::vector<db::Tuple> view_deletes;
-  VIEWMAT_RETURN_IF_ERROR(MapNets(a_net, d_net, &view_inserts, &view_deletes));
   ++refresh_count_;
-  return view_->ApplyDelta(view_inserts, view_deletes);
+  for (Member& m : members_) {
+    ViewDelta delta;
+    VIEWMAT_RETURN_IF_ERROR(MapNets(m.def, a_net, d_net, &delta));
+    VIEWMAT_RETURN_IF_ERROR(m.view->ApplyDelta(delta.inserts, delta.deletes));
+  }
+  return Status::OK();
 }
 
 Status DeferredStrategy::RefreshSafe() {
   if (hr_.ad().entry_count() == 0) return Status::OK();
   const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kRefresh);
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "refresh");
-  storage::BufferPool* pool = UpdatedRelation(def_)->pool();
+  storage::BufferPool* pool = updated_relation()->pool();
   storage::DiskInterface* disk = pool->disk();
 
-  // Read-only preparation: scan the nets and map the view deltas. Failure
-  // here is a clean abort — nothing durable has changed yet.
+  // Read-only preparation: scan the nets and map every member's deltas.
+  // Failure here is a clean abort — nothing durable has changed yet.
   std::vector<db::Tuple> a_net;
   std::vector<db::Tuple> d_net;
   obs::ScopedSpan prepare_span(storage::TracerOf(tracker_), "refresh.prepare");
   VIEWMAT_RETURN_IF_ERROR(hr_.NetChanges(&a_net, &d_net));
-  std::vector<db::Tuple> view_inserts;
-  std::vector<db::Tuple> view_deletes;
-  VIEWMAT_RETURN_IF_ERROR(MapNets(a_net, d_net, &view_inserts, &view_deletes));
+  std::vector<ViewDelta> deltas(members_.size());
+  for (size_t i = 0; i < members_.size(); ++i) {
+    VIEWMAT_RETURN_IF_ERROR(MapNets(members_[i].def, a_net, d_net, &deltas[i]));
+  }
   prepare_span.End();
-  // Phase 1: patch the view copy. The begin marker is durable before the
-  // first view write, so a crash anywhere in here resolves to
+  // Phase 1: patch the member copies. The begin marker is durable before
+  // the first view write, so a crash anywhere in here resolves to
   // kNeedViewRebuild.
   VIEWMAT_RETURN_IF_ERROR(hr_.mutable_ad()->LogRefreshBegin(++epoch_));
   phase_ = RecoveryPhase::kNeedViewRebuild;
   obs::ScopedSpan patch_span(storage::TracerOf(tracker_), "refresh.view_patch");
   VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kBeforeViewPatch));
-  for (const db::Tuple& value : view_deletes) {
-    VIEWMAT_RETURN_IF_ERROR(view_->ApplyDelete(value));
+  for (size_t i = 0; i < members_.size(); ++i) {
+    for (const db::Tuple& value : deltas[i].deletes) {
+      VIEWMAT_RETURN_IF_ERROR(members_[i].view->ApplyDelete(value));
+    }
   }
   VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kMidViewPatch));
-  for (const db::Tuple& value : view_inserts) {
-    VIEWMAT_RETURN_IF_ERROR(view_->ApplyInsert(value));
+  for (size_t i = 0; i < members_.size(); ++i) {
+    for (const db::Tuple& value : deltas[i].inserts) {
+      VIEWMAT_RETURN_IF_ERROR(members_[i].view->ApplyInsert(value));
+    }
   }
   VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kAfterViewPatch));
   // The patched-view marker asserts durability, so flush first.
@@ -167,7 +228,7 @@ Status DeferredStrategy::RefreshSafe() {
 Status DeferredStrategy::FoldAndReset(const std::vector<db::Tuple>& a_net,
                                       const std::vector<db::Tuple>& d_net,
                                       bool idempotent) {
-  storage::BufferPool* pool = UpdatedRelation(def_)->pool();
+  storage::BufferPool* pool = updated_relation()->pool();
   storage::DiskInterface* disk = pool->disk();
   obs::ScopedSpan fold_span(storage::TracerOf(tracker_), "refresh.fold");
   VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kBeforeFold));
@@ -184,7 +245,7 @@ Status DeferredStrategy::FoldAndReset(const std::vector<db::Tuple>& a_net,
 
 Status DeferredStrategy::FinishReset() {
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "refresh.ad_reset");
-  storage::DiskInterface* disk = UpdatedRelation(def_)->pool()->disk();
+  storage::DiskInterface* disk = updated_relation()->pool()->disk();
   VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kBeforeAdReset));
   // Reset clears the hash file and Bloom filter and truncates the WAL
   // (removing the epoch's markers: the refresh is no longer "in flight").
@@ -195,23 +256,22 @@ Status DeferredStrategy::FinishReset() {
 }
 
 Status DeferredStrategy::RebuildViewAndFold() {
-  storage::BufferPool* pool = UpdatedRelation(def_)->pool();
+  storage::BufferPool* pool = updated_relation()->pool();
   storage::DiskInterface* disk = pool->disk();
   // Re-begin under a fresh epoch: the old epoch's begin marker stays in the
   // log but is superseded as "newest begun".
   VIEWMAT_RETURN_IF_ERROR(hr_.mutable_ad()->LogRefreshBegin(++epoch_));
   phase_ = RecoveryPhase::kNeedViewRebuild;
   VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kBeforeViewPatch));
-  // The view copy may be partially patched in an unknowable way: rebuild it
-  // from the hypothetical relation, which still holds the complete state
-  // (base untouched + all committed intents, including transactions
-  // accepted while degraded).
-  VIEWMAT_RETURN_IF_ERROR(view_->Clear());
+  // The member copies may be partially patched in an unknowable way:
+  // rebuild them from one scan of the hypothetical relation, which still
+  // holds the complete state (base untouched + all committed intents,
+  // including transactions accepted while degraded).
+  VIEWMAT_RETURN_IF_ERROR(ClearViews());
   Status inner = Status::OK();
   VIEWMAT_RETURN_IF_ERROR(hr_.RangeScanByKey(
       std::numeric_limits<int64_t>::min(),
-      std::numeric_limits<int64_t>::max(),
-      ViewInserter(def_, tracker_, view_.get(), &inner)));
+      std::numeric_limits<int64_t>::max(), ViewsInserter(&inner)));
   VIEWMAT_RETURN_IF_ERROR(inner);
   VIEWMAT_RETURN_IF_ERROR(disk->AtCrashPoint(CrashPoint::kAfterViewPatch));
   VIEWMAT_RETURN_IF_ERROR(pool->FlushAll());
@@ -220,7 +280,7 @@ Status DeferredStrategy::RebuildViewAndFold() {
   std::vector<db::Tuple> a_net;
   std::vector<db::Tuple> d_net;
   VIEWMAT_RETURN_IF_ERROR(hr_.NetChanges(&a_net, &d_net));
-  // The rebuilt view already reflects these nets; the base does not yet.
+  // The rebuilt views already reflect these nets; the base does not yet.
   // A partial fold from the interrupted epoch may have landed some of them,
   // so fold idempotently.
   return FoldAndReset(a_net, d_net, /*idempotent=*/true);
@@ -299,15 +359,16 @@ Status DeferredStrategy::Refresh() {
 }
 
 Status DeferredStrategy::QueryViaModification(
-    int64_t lo, int64_t hi, const MaterializedView::CountedVisitor& visit) {
-  const size_t vkey = view_->view_key_field();
+    const Member& member, int64_t lo, int64_t hi,
+    const MaterializedView::CountedVisitor& visit) {
+  const size_t vkey = member.view->view_key_field();
   Status inner = Status::OK();
   VIEWMAT_RETURN_IF_ERROR(hr_.RangeScanByKey(
       std::numeric_limits<int64_t>::min(),
       std::numeric_limits<int64_t>::max(), [&](const db::Tuple& t) {
         if (tracker_ != nullptr) tracker_->ChargeTupleCpu();
         db::Tuple value;
-        auto mapped = MapToView(def_, t, &value, tracker_);
+        auto mapped = MapToView(member.def, t, &value, tracker_);
         if (!mapped.ok()) {
           inner = mapped.status();
           return false;
@@ -321,7 +382,8 @@ Status DeferredStrategy::QueryViaModification(
 }
 
 Status DeferredStrategy::DegradedQuery(
-    int64_t lo, int64_t hi, const MaterializedView::CountedVisitor& visit) {
+    const Member& member, int64_t lo, int64_t hi,
+    const MaterializedView::CountedVisitor& visit) {
   // Reading anything requires a trustworthy AD file; rebuilding it from the
   // log is cheap and does not run the (failing) refresh protocol.
   if (hr_.ad().needs_recovery()) {
@@ -334,33 +396,38 @@ Status DeferredStrategy::DegradedQuery(
     case RecoveryPhase::kNeedViewRebuild:
       // The base is untouched by the interrupted epoch: query modification
       // over base ∪ AD is exact.
-      return QueryViaModification(lo, hi, visit);
+      return QueryViaModification(member, lo, hi, visit);
     case RecoveryPhase::kNeedFold:
     case RecoveryPhase::kNeedReset:
-      // The view copy is fully patched for the epoch (it reflects
+      // The member copies are fully patched for the epoch (they reflect
       // base ∪ AD); QM would double-count whatever a partial fold already
       // moved into the base. Serve the copy.
-      return view_->Query(lo, hi, visit);
+      return member.view->Query(lo, hi, visit);
   }
   return Status::Internal("unreachable recovery phase");
 }
 
-Status DeferredStrategy::Query(int64_t lo, int64_t hi,
-                               const MaterializedView::CountedVisitor& visit) {
+Status DeferredStrategy::QueryView(
+    size_t index, int64_t lo, int64_t hi,
+    const MaterializedView::CountedVisitor& visit) {
+  if (index >= members_.size()) {
+    return Status::InvalidArgument("no member view " + std::to_string(index));
+  }
+  const Member& member = members_[index];
   const storage::ScopedPhase phase_tag(tracker_, storage::Phase::kQuery);
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "query");
   if (!crash_safe()) {
     VIEWMAT_RETURN_IF_ERROR(Refresh());
-    return view_->Query(lo, hi, visit);
+    return member.view->Query(lo, hi, visit);
   }
   // Bounded retry: transient faults are ridden out by re-driving recovery;
   // a persistently failing device falls through to the degraded read.
   Status st = Status::OK();
   for (int attempt = 0; attempt < kMaxRecoveryAttempts; ++attempt) {
     st = Refresh();
-    if (st.ok()) return view_->Query(lo, hi, visit);
+    if (st.ok()) return member.view->Query(lo, hi, visit);
   }
-  return DegradedQuery(lo, hi, visit);
+  return DegradedQuery(member, lo, hi, visit);
 }
 
 }  // namespace viewmat::view

@@ -1,6 +1,9 @@
 #ifndef VIEWMAT_VIEW_DEFERRED_H_
 #define VIEWMAT_VIEW_DEFERRED_H_
 
+#include <memory>
+#include <vector>
+
 #include "common/status.h"
 #include "hr/hypothetical_relation.h"
 #include "storage/cost_tracker.h"
@@ -16,13 +19,13 @@ namespace viewmat::view {
 /// from the AD file's durable WAL markers at recovery time, never from
 /// in-memory state:
 ///  - kNeedViewRebuild: a kRefreshBegin has no matching kViewPatched — the
-///    view copy may be partially patched and must be rebuilt from the
+///    member copies may be partially patched and must be rebuilt from the
 ///    hypothetical relation (base is untouched, so QM over base ∪ AD is the
 ///    safe degraded read).
-///  - kNeedFold: kViewPatched is durable but kFoldCommit is not — the view
-///    is fully patched; the base fold must be re-run idempotently (the view
-///    itself is the safe degraded read; QM would double-count tuples a
-///    partial fold already landed).
+///  - kNeedFold: kViewPatched is durable but kFoldCommit is not — every
+///    member copy is fully patched; the base fold must be re-run
+///    idempotently (the copies themselves are the safe degraded read; QM
+///    would double-count tuples a partial fold already landed).
 ///  - kNeedReset: kFoldCommit is durable — only the AD reset remains.
 enum class RecoveryPhase : uint8_t {
   kNone = 0,
@@ -30,16 +33,6 @@ enum class RecoveryPhase : uint8_t {
   kNeedFold,
   kNeedReset,
 };
-
-inline const char* RecoveryPhaseName(RecoveryPhase p) {
-  switch (p) {
-    case RecoveryPhase::kNone: return "none";
-    case RecoveryPhase::kNeedViewRebuild: return "need-view-rebuild";
-    case RecoveryPhase::kNeedFold: return "need-fold";
-    case RecoveryPhase::kNeedReset: return "need-reset";
-  }
-  return "unknown";
-}
 
 /// Deferred view maintenance (§2.2, the paper's proposal): a materialized
 /// copy exists, but refresh is postponed until just before a query reads
@@ -54,9 +47,19 @@ inline const char* RecoveryPhaseName(RecoveryPhase p) {
 /// view once with u accumulated tuples touches no more pages than patching
 /// it k/q separate times (§4's triangle-inequality argument).
 ///
+/// Several views can share the one hypothetical relation (§4: "it may be
+/// worthwhile to refresh all the views whenever it is necessary to read
+/// the contents of the A and D sets ... since this would eliminate the need
+/// to read the hypothetical database again"). The strategy is built with
+/// one select-project or join view, member 0; AddView registers further
+/// select-project views over the same updated relation. Every step walks
+/// the members in registration order — each screens every update, and one
+/// read of the AD file and one fold patch them all — so a one-member
+/// strategy is the plain single-view engine.
+///
 /// Crash safety (AdFile::Options::enable_wal): refresh becomes a journaled
-/// two-phase protocol — patch the view copy, then fold the base and reset
-/// the AD file — with a durable marker after each phase. A crash at any
+/// two-phase protocol — patch every member copy, then fold the base and
+/// reset the AD file — with a durable marker after each phase. A crash at any
 /// point rolls forward on Recover(). While an interrupted refresh is
 /// outstanding, Query() degrades by phase (see RecoveryPhase) after a
 /// bounded number of recovery attempts instead of failing, and
@@ -69,18 +72,33 @@ class DeferredStrategy : public ViewStrategy {
   DeferredStrategy(JoinDef def, hr::AdFile::Options ad_options,
                    storage::CostTracker* tracker);
 
-  /// Builds the stored copy from the current base state (run pre-workload).
+  /// Registers another view over the updated relation behind the same AD
+  /// file, materializes it from the base, and returns its member index.
+  /// InvalidArgument for a view over another relation; FailedPrecondition
+  /// once differential work is pending.
+  StatusOr<size_t> AddView(const SelectProjectDef& def);
+
+  /// Builds every member's stored copy from the current base state (run
+  /// pre-workload).
   Status InitializeFromBase();
 
   Status OnTransaction(const db::Transaction& txn) override;
+  /// Reads member 0 (see QueryView).
   Status Query(int64_t lo, int64_t hi,
-               const MaterializedView::CountedVisitor& visit) override;
+               const MaterializedView::CountedVisitor& visit) override {
+    return QueryView(0, lo, hi, visit);
+  }
+  /// Refreshes every member if work is pending (one fold), then reads
+  /// member `index`. InvalidArgument for an unknown index.
+  Status QueryView(size_t index, int64_t lo, int64_t hi,
+                   const MaterializedView::CountedVisitor& visit);
   const char* name() const override { return "deferred"; }
 
-  /// Applies all pending differential work now. Normally driven by Query —
-  /// exposed so callers can refresh during idle time (§4 discusses
-  /// asynchronous refresh as an optimization). In crash-safe mode this runs
-  /// the journaled protocol and rolls forward any interrupted epoch first.
+  /// Applies all pending differential work to every member now. Normally
+  /// driven by Query — exposed so callers can refresh during idle time (§4
+  /// discusses asynchronous refresh as an optimization). In crash-safe mode
+  /// this runs the journaled protocol and rolls forward any interrupted
+  /// epoch first.
   Status Refresh() override;
 
   /// Crash recovery: rebuilds the AD file from its WAL, derives the
@@ -101,10 +119,14 @@ class DeferredStrategy : public ViewStrategy {
                          const db::Relation::TupleVisitor& visit)
       const override;
 
-  MaterializedView* view() { return view_.get(); }
+  MaterializedView* view(size_t index = 0) {
+    return members_[index].view.get();
+  }
+  size_t view_count() const { return members_.size(); }
   hr::HypotheticalRelation* hypothetical() { return &hr_; }
   const hr::AdFile& ad() const { return hr_.ad(); }
-  const TLockScreen& screen() const { return screen_; }
+  /// Refreshes that folded pending work (one per fold, whatever the member
+  /// count).
   uint64_t refresh_count() const { return refresh_count_; }
   uint64_t pending_tuples() const { return hr_.ad().entry_count(); }
 
@@ -131,10 +153,10 @@ class DeferredStrategy : public ViewStrategy {
   }
 
  protected:
-  /// The select-project definition; valid only for a strategy built from
-  /// one (the hybrid's router costs and scans through it).
+  /// Member 0's select-project definition; valid only for a strategy built
+  /// from one (the hybrid's router costs and scans through it).
   const SelectProjectDef& sp_def() const {
-    return std::get<SelectProjectDef>(def_);
+    return std::get<SelectProjectDef>(members_.front().def);
   }
   storage::CostTracker* tracker() const { return tracker_; }
 
@@ -145,11 +167,41 @@ class DeferredStrategy : public ViewStrategy {
   /// ridden out while a hard-down device fails fast.
   static constexpr int kMaxRecoveryAttempts = 3;
 
-  /// Maps folded A/D nets into view insert/delete deltas.
-  Status MapNets(const std::vector<db::Tuple>& a_net,
-                 const std::vector<db::Tuple>& d_net,
-                 std::vector<db::Tuple>* view_inserts,
-                 std::vector<db::Tuple>* view_deletes);
+  /// One view behind the shared AD file.
+  struct Member {
+    TupleViewDef def;
+    UpdateScreen screen;
+    std::unique_ptr<MaterializedView> view;
+  };
+
+  /// A member's share of one refresh.
+  struct ViewDelta {
+    std::vector<db::Tuple> inserts;
+    std::vector<db::Tuple> deletes;
+  };
+
+  DeferredStrategy(TupleViewDef def, hr::AdFile::Options ad_options,
+                   storage::CostTracker* tracker);
+
+  /// R (or R1 for a join): the relation every member reads and the AD file
+  /// differentiates.
+  db::Relation* updated_relation() const {
+    return UpdatedRelation(members_.front().def);
+  }
+
+  /// Appends a member with an empty stored copy.
+  void AddMember(TupleViewDef def);
+
+  /// Empties every member's stored copy.
+  Status ClearViews();
+
+  /// Scan visitor inserting each visited tuple's image into every member's
+  /// copy; the first failure lands in *inner and stops the scan.
+  db::Relation::TupleVisitor ViewsInserter(Status* inner);
+
+  /// Maps folded A/D nets into one member's view deltas.
+  Status MapNets(const TupleViewDef& def, const std::vector<db::Tuple>& a_net,
+                 const std::vector<db::Tuple>& d_net, ViewDelta* delta);
 
   /// Non-journaled single-shot refresh (WAL disabled): the original
   /// fold-then-patch path.
@@ -163,8 +215,8 @@ class DeferredStrategy : public ViewStrategy {
   /// trustworthy (recovered or never damaged).
   Status RollForward();
 
-  /// kNeedViewRebuild roll-forward: re-begins the epoch, rebuilds the view
-  /// copy from the hypothetical relation, then folds.
+  /// kNeedViewRebuild roll-forward: re-begins the epoch, rebuilds every
+  /// member copy from the hypothetical relation, then folds.
   Status RebuildViewAndFold();
 
   /// kNeedFold roll-forward: idempotent base fold of the current AD nets,
@@ -176,21 +228,21 @@ class DeferredStrategy : public ViewStrategy {
   /// WAL) and epoch completion.
   Status FinishReset();
 
-  /// Phase-appropriate degraded read (see RecoveryPhase docs).
-  Status DegradedQuery(int64_t lo, int64_t hi,
+  /// Phase-appropriate degraded read of one member (see RecoveryPhase
+  /// docs).
+  Status DegradedQuery(const Member& member, int64_t lo, int64_t hi,
                        const MaterializedView::CountedVisitor& visit);
 
-  /// Query modification over base ∪ AD: full HR scan, map, filter to the
-  /// queried view-key range. Emits count-1 duplicates like the QM
-  /// strategies.
-  Status QueryViaModification(int64_t lo, int64_t hi,
+  /// Query modification over base ∪ AD: full HR scan, map through the
+  /// member's definition, filter to the queried view-key range. Emits
+  /// count-1 duplicates like the QM strategies.
+  Status QueryViaModification(const Member& member, int64_t lo, int64_t hi,
                               const MaterializedView::CountedVisitor& visit);
 
-  TupleViewDef def_;
   storage::CostTracker* tracker_;
-  TLockScreen screen_;
+  /// Constructed before any member, so the AD file's pages come first.
   hr::HypotheticalRelation hr_;
-  std::unique_ptr<MaterializedView> view_;
+  std::vector<Member> members_;  ///< registration order; never empty
   uint64_t refresh_count_ = 0;
 
   RecoveryPhase phase_ = RecoveryPhase::kNone;

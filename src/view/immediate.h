@@ -47,7 +47,7 @@ class ImmediateStrategy : public ViewStrategy {
   }
 
   MaterializedView* view() { return view_.get(); }
-  const TLockScreen& screen() const { return screen_; }
+  const UpdateScreen& screen() const { return screen_; }
   uint64_t refresh_count() const { return refresh_count_; }
 
  private:
@@ -56,7 +56,7 @@ class ImmediateStrategy : public ViewStrategy {
 
   TupleViewDef def_;
   storage::CostTracker* tracker_;
-  TLockScreen screen_;
+  UpdateScreen screen_;
   std::unique_ptr<MaterializedView> view_;
   uint64_t refresh_count_ = 0;
   /// The base advanced (durable commit) but the view patch did not finish.

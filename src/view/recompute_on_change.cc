@@ -9,8 +9,8 @@ RecomputeOnChangeStrategy::RecomputeOnChangeStrategy(
     SelectProjectDef def, storage::CostTracker* tracker)
     : def_(std::move(def)),
       tracker_(tracker),
-      screen_(ScreeningMode::kRiu, def_.predicate, def_.base->key_field(),
-              FieldsRead(def_), tracker) {
+      screen_(UpdateScreen::ForSelectProject(def_, tracker,
+                                             ScreeningMode::kRiu)) {
   VIEWMAT_CHECK(def_.Validate().ok());
   view_ = std::make_unique<MaterializedView>(
       def_.base->pool(), "roc_view", def_.ViewSchema(), def_.view_key_field);

@@ -4,7 +4,7 @@
 #include "common/status.h"
 #include "storage/cost_tracker.h"
 #include "view/materialized_view.h"
-#include "view/screening_modes.h"
+#include "view/screening.h"
 #include "view/strategy.h"
 #include "view/view_def.h"
 

@@ -27,13 +27,13 @@ inline db::Relation* UpdatedRelation(const TupleViewDef& def) {
   return std::get<JoinDef>(def).r1;
 }
 
-inline TLockScreen MakeScreen(const TupleViewDef& def,
-                              storage::CostTracker* tracker) {
+inline UpdateScreen MakeScreen(const TupleViewDef& def,
+                               storage::CostTracker* tracker) {
   if (std::holds_alternative<SelectProjectDef>(def)) {
-    return TLockScreen::ForSelectProject(std::get<SelectProjectDef>(def),
-                                         tracker);
+    return UpdateScreen::ForSelectProject(std::get<SelectProjectDef>(def),
+                                          tracker);
   }
-  return TLockScreen::ForJoin(std::get<JoinDef>(def), tracker);
+  return UpdateScreen::ForJoin(std::get<JoinDef>(def), tracker);
 }
 
 /// An empty stored copy for the view, in the updated relation's pool.

@@ -82,13 +82,6 @@ TEST(IntervalSet, DoubleComplementIsIdentityOnMembership) {
   }
 }
 
-TEST(IntervalSet, HullSpansEnds) {
-  const IntervalSet a = IntervalSet::Union(Of(0, 10), Of(100, 200));
-  const Interval hull = a.Hull();
-  EXPECT_EQ(*hull.lo, 0);
-  EXPECT_EQ(*hull.hi, 200);
-}
-
 TEST(ImpliedRangeSet, NeIsExactComplement) {
   auto p = Predicate::Compare(0, CompareOp::kNe, Value(int64_t{7}));
   const IntervalSet s = p->ImpliedRangeSet(0);

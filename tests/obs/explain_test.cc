@@ -4,6 +4,9 @@
 #include <string>
 
 #include "common/json.h"
+#include "costmodel/model1.h"
+#include "costmodel/model2.h"
+#include "costmodel/model3.h"
 #include "costmodel/regions.h"
 #include "gtest/gtest.h"
 
@@ -14,6 +17,18 @@ using costmodel::ModelCandidates;
 using costmodel::ModelCostFn;
 using costmodel::Params;
 using costmodel::Strategy;
+
+/// The paper's TOTAL_* formula for `s` under view model `model`.
+double ModelCost(int model, Strategy s, const Params& p) {
+  switch (model) {
+    case 1:
+      return *costmodel::Model1Cost(s, p);
+    case 2:
+      return *costmodel::Model2Cost(s, p);
+    default:
+      return *costmodel::Model3Cost(s, p);
+  }
+}
 
 TEST(Explain, RanksEveryCandidateAscendingWithWinnerMarginZero) {
   const Params p;
@@ -26,6 +41,11 @@ TEST(Explain, RanksEveryCandidateAscendingWithWinnerMarginZero) {
       EXPECT_GE(report.ranked[i].cost_ms, report.ranked[i - 1].cost_ms);
       EXPECT_NEAR(report.ranked[i].margin_ms,
                   report.ranked[i].cost_ms - report.winner_cost_ms(), 1e-9);
+    }
+    // Each ranked cost is the paper's formula for that strategy.
+    for (const ExplainCandidate& c : report.ranked) {
+      EXPECT_DOUBLE_EQ(c.cost_ms, ModelCost(model, c.strategy, p))
+          << "model " << model << " " << costmodel::StrategyName(c.strategy);
     }
     EXPECT_FALSE(report.ranked.front().formula.empty());
   }
@@ -91,6 +111,11 @@ TEST(Explain, TextRendersWinnerAndBoundaries) {
   const std::string text = ExplainText(report);
   EXPECT_NE(text.find("<-- winner"), std::string::npos);
   EXPECT_NE(text.find("TOTAL_"), std::string::npos);
+  // Every candidate is named, the winner included.
+  for (const ExplainCandidate& c : report.ranked) {
+    EXPECT_NE(text.find(costmodel::StrategyName(c.strategy)),
+              std::string::npos);
+  }
 }
 
 TEST(Explain, JsonIsParseableAndCarriesTheRanking) {
@@ -109,6 +134,47 @@ TEST(Explain, JsonIsParseableAndCarriesTheRanking) {
   ASSERT_NE(doc->Find("winner"), nullptr);
   ASSERT_NE(doc->Find("params"), nullptr);
   ASSERT_NE(doc->Find("boundaries"), nullptr);
+}
+
+// --- §4's conclusions, as the advisor's picks at the points it names -----
+
+bool Materializes(Strategy s) {
+  return s == Strategy::kImmediate || s == Strategy::kDeferred;
+}
+
+TEST(Advisor, Model1DefaultsRecommendClustered) {
+  const ExplainReport report = BuildExplain(1, Params());
+  EXPECT_EQ(report.winner(), Strategy::kQmClustered);
+  EXPECT_EQ(report.ranked.size(), 5u);
+}
+
+TEST(Advisor, Model1LowPRecommendsMaterialization) {
+  EXPECT_TRUE(
+      Materializes(BuildExplain(1, Params().WithUpdateProbability(0.02))
+                       .winner()));
+}
+
+TEST(Advisor, Model2DefaultsRecommendMaterialization) {
+  const ExplainReport report = BuildExplain(2, Params());
+  EXPECT_TRUE(Materializes(report.winner()));
+  EXPECT_EQ(report.ranked.size(), 3u);
+}
+
+TEST(Advisor, Model2EmpDeptCaseRecommendsQueryModification) {
+  Params p;
+  p.f = 1.0;
+  p.l = 1.0;
+  p.f_v = 1.0 / p.N;
+  EXPECT_EQ(BuildExplain(2, p.WithUpdateProbability(0.2)).winner(),
+            Strategy::kQmLoopJoin);
+}
+
+TEST(Advisor, Model3AlmostAlwaysRecommendsMaintenance) {
+  for (const double P : {0.1, 0.5, 0.9}) {
+    EXPECT_TRUE(Materializes(
+        BuildExplain(3, Params().WithUpdateProbability(P)).winner()))
+        << "P=" << P;
+  }
 }
 
 }  // namespace

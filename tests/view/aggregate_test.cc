@@ -11,7 +11,7 @@
 
 #include "common/random.h"
 #include "testing/view_fixture.h"
-#include "view/screening_modes.h"
+#include "view/screening.h"
 
 namespace viewmat::view {
 namespace {
@@ -628,8 +628,8 @@ TEST(GroupAggregate, FieldsReadIncludesTheGroupColumn) {
                         db::Value(5.0)}));
   for (const bool grouped : kShapes) {
     const AggregateDef def = Def(db, AggregateOp::kSum, grouped);
-    UpdateScreen screen(ScreeningMode::kRiu, def.predicate, 0, FieldsRead(def),
-                        &db.tracker_);
+    UpdateScreen screen(def.predicate, 0, &db.tracker_, ScreeningMode::kRiu,
+                        FieldsRead(def));
     EXPECT_EQ(screen.TransactionIsIgnorable(txn.ChangesFor(db.base_)),
               !grouped);
   }

@@ -88,7 +88,7 @@ TEST(Immediate, IrrelevantUpdatesDoNotTouchView) {
   // k1 = 150 is outside the predicate: stage-1 t-lock rejects it free.
   ASSERT_TRUE(imm.OnTransaction(db.UpdateTxn(150, 9.0)).ok());
   EXPECT_EQ(imm.view()->total_count(), ViewTestDb::kFCut);
-  EXPECT_EQ(imm.screen().stage1_hits(), 0u);
+  EXPECT_EQ(imm.screen().substitutions(), 0u);
 }
 
 TEST(Immediate, JoinViewMaintainsJoinedTuples) {
