@@ -15,6 +15,16 @@ std::vector<uint8_t> SerializeTuple(const Schema& schema, const Tuple& t) {
   return buf;
 }
 
+/// A record visitor that decodes each record into *row for `visit`. The
+/// scan owns *row and overwrites it row by row.
+auto Decoding(const Schema& schema, Tuple* row,
+              const Relation::TupleVisitor& visit) {
+  return [&schema, row, &visit](const uint8_t* record) {
+    Tuple::Deserialize(schema, record, row);
+    return visit(*row);
+  };
+}
+
 }  // namespace
 
 Relation::Relation(storage::BufferPool* pool, std::string name, Schema schema,
@@ -109,13 +119,12 @@ Status Relation::Compact() {
 }
 
 Status Relation::HeapDeleteWhere(
-    int64_t key, const std::function<bool(const Tuple&)>& pred) {
+    int64_t key, const std::function<bool(const uint8_t*)>& match) {
   std::vector<uint8_t> buf(schema_.record_size());
   auto [it, end] = heap_key_index_.equal_range(key);
   for (; it != end; ++it) {
     VIEWMAT_RETURN_IF_ERROR(heap_->Get(it->second, buf.data()));
-    const Tuple stored = Tuple::Deserialize(schema_, buf.data());
-    if (pred(stored)) {
+    if (match(buf.data())) {
       VIEWMAT_RETURN_IF_ERROR(heap_->Delete(it->second));
       heap_key_index_.erase(it);
       return Status::OK();
@@ -139,7 +148,7 @@ Status Relation::DeleteExact(const Tuple& t) {
       st = hash_->Delete(key, bytes_match);
       break;
     case AccessMethod::kHeap:
-      st = HeapDeleteWhere(key, [&](const Tuple& s) { return s == t; });
+      st = HeapDeleteWhere(key, bytes_match);
       break;
   }
   if (st.ok()) --tuple_count_;
@@ -179,63 +188,52 @@ Status Relation::UpdateExact(const Tuple& old_t, const Tuple& new_t) {
 }
 
 Status Relation::FindByKey(int64_t key, Tuple* out) const {
-  std::vector<uint8_t> buf(schema_.record_size());
-  switch (method_) {
-    case AccessMethod::kClusteredBTree:
-      VIEWMAT_RETURN_IF_ERROR(btree_->Find(key, buf.data()));
-      break;
-    case AccessMethod::kClusteredHash:
-      VIEWMAT_RETURN_IF_ERROR(hash_->Find(key, buf.data()));
-      break;
-    case AccessMethod::kHeap: {
-      auto it = heap_key_index_.find(key);
-      if (it == heap_key_index_.end()) return Status::NotFound("key absent");
-      VIEWMAT_RETURN_IF_ERROR(heap_->Get(it->second, buf.data()));
-      break;
-    }
+  return ReadByKey(key, [this, out](const uint8_t* record) {
+    Tuple::Deserialize(schema_, record, out);
+  });
+}
+
+Status Relation::ReadByKey(
+    int64_t key, const std::function<void(const uint8_t*)>& read) const {
+  bool found = false;
+  VIEWMAT_RETURN_IF_ERROR(
+      FindRecords(key, [&found, &read](const uint8_t* record) {
+        read(record);
+        found = true;
+        return false;  // the first record only
+      }));
+  return found ? Status::OK() : Status::NotFound("key absent");
+}
+
+Status Relation::FindRecords(int64_t key, const RecordVisitor& visit) const {
+  // A B+-tree or heap range [key, key] is exactly the key's records.
+  if (method_ != AccessMethod::kClusteredHash) {
+    return RangeScanRecords(key, key, visit);
   }
-  *out = Tuple::Deserialize(schema_, buf.data());
-  return Status::OK();
+  return hash_->FindAll(key, [&visit](int64_t, const uint8_t* payload) {
+    return visit(payload);
+  });
 }
 
 Status Relation::FindAllByKey(int64_t key, const TupleVisitor& visit) const {
-  switch (method_) {
-    case AccessMethod::kClusteredBTree:
-      return btree_->RangeScan(key, key,
-                               [&](int64_t, const uint8_t* payload) {
-                                 return visit(
-                                     Tuple::Deserialize(schema_, payload));
-                               });
-    case AccessMethod::kClusteredHash:
-      return hash_->FindAll(key, [&](int64_t, const uint8_t* payload) {
-        return visit(Tuple::Deserialize(schema_, payload));
-      });
-    case AccessMethod::kHeap: {
-      std::vector<uint8_t> buf(schema_.record_size());
-      auto [it, end] = heap_key_index_.equal_range(key);
-      for (; it != end; ++it) {
-        VIEWMAT_RETURN_IF_ERROR(heap_->Get(it->second, buf.data()));
-        if (!visit(Tuple::Deserialize(schema_, buf.data()))) break;
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unreachable");
+  Tuple row;
+  return FindRecords(key, Decoding(schema_, &row, visit));
 }
 
 Status Relation::Scan(const TupleVisitor& visit) const {
+  Tuple row;
+  const auto decode = Decoding(schema_, &row, visit);
+  const auto keyed = [&decode](int64_t, const uint8_t* payload) {
+    return decode(payload);
+  };
   switch (method_) {
     case AccessMethod::kClusteredBTree:
-      return btree_->ScanAll([&](int64_t, const uint8_t* payload) {
-        return visit(Tuple::Deserialize(schema_, payload));
-      });
+      return btree_->ScanAll(keyed);
     case AccessMethod::kClusteredHash:
-      return hash_->ScanAll([&](int64_t, const uint8_t* payload) {
-        return visit(Tuple::Deserialize(schema_, payload));
-      });
+      return hash_->ScanAll(keyed);
     case AccessMethod::kHeap:
-      return heap_->Scan([&](storage::Rid, const uint8_t* record) {
-        return visit(Tuple::Deserialize(schema_, record));
+      return heap_->Scan([&decode](storage::Rid, const uint8_t* record) {
+        return decode(record);
       });
   }
   return Status::Internal("unreachable");
@@ -243,9 +241,8 @@ Status Relation::Scan(const TupleVisitor& visit) const {
 
 Status Relation::RangeScanByKey(int64_t lo, int64_t hi,
                                 const TupleVisitor& visit) const {
-  return RangeScanRecords(lo, hi, [&](const uint8_t* record) {
-    return visit(Tuple::Deserialize(schema_, record));
-  });
+  Tuple row;
+  return RangeScanRecords(lo, hi, Decoding(schema_, &row, visit));
 }
 
 Status Relation::RangeScanRecords(int64_t lo, int64_t hi,

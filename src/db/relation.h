@@ -36,6 +36,9 @@ enum class AccessMethod {
 /// fetches.
 class Relation {
  public:
+  /// Visitor over tuples. A scan decodes every row into one tuple of its
+  /// own and overwrites it with the next row, so a visited tuple is valid
+  /// only during its visit: copy it to keep it.
   using TupleVisitor = std::function<bool(const Tuple&)>;
   /// Visitor over serialized records (schema().record_size() bytes each).
   using RecordVisitor = std::function<bool(const uint8_t* record)>;
@@ -79,16 +82,25 @@ class Relation {
   /// leaves left by deletions (offline vacuum).
   Status Compact();
 
-  /// Deletes one stored tuple equal to `t` (all fields). NotFound if absent.
+  /// Deletes one stored tuple whose record has the bytes `t` serializes to
+  /// (all fields; a string longer than its column matches its truncated
+  /// copy). NotFound if absent.
   Status DeleteExact(const Tuple& t);
 
-  /// Replaces one stored tuple equal to `old_t` with `new_t`. When the key
-  /// is unchanged this is an in-place payload update (1 logical read +
-  /// write); otherwise a delete + insert.
+  /// Replaces one stored tuple matching `old_t` (by bytes, as DeleteExact)
+  /// with `new_t`. When the key is unchanged this is an in-place payload
+  /// update (1 logical read + write); otherwise a delete + insert.
   Status UpdateExact(const Tuple& old_t, const Tuple& new_t);
 
-  /// First tuple with the key, or NotFound.
+  /// First tuple with the key, decoded into *out in place, or NotFound.
   Status FindByKey(int64_t key, Tuple* out) const;
+
+  /// The same lookup over the serialized record: `read` sees the first
+  /// record with the key, valid only during the call. NotFound if absent.
+  /// FindByKey is this lookup plus Tuple::Deserialize.
+  Status ReadByKey(int64_t key,
+                   const std::function<void(const uint8_t* record)>& read)
+      const;
 
   /// All tuples with the key (duplicates included).
   Status FindAllByKey(int64_t key, const TupleVisitor& visit) const;
@@ -111,8 +123,11 @@ class Relation {
   size_t data_page_count() const;
 
  private:
+  /// Records with the key, until `visit` returns false.
+  Status FindRecords(int64_t key, const RecordVisitor& visit) const;
+
   Status HeapDeleteWhere(int64_t key,
-                         const std::function<bool(const Tuple&)>& pred);
+                         const std::function<bool(const uint8_t*)>& match);
 
   storage::BufferPool* pool_;
   std::string name_;

@@ -37,45 +37,57 @@ void Tuple::Serialize(const Schema& schema, uint8_t* out) const {
 }
 
 Tuple Tuple::Deserialize(const Schema& schema, const uint8_t* in) {
-  std::vector<Value> values;
-  values.reserve(schema.field_count());
+  Tuple t;
+  Deserialize(schema, in, &t);
+  return t;
+}
+
+void Tuple::Deserialize(const Schema& schema, const uint8_t* in, Tuple* out) {
+  out->values_.resize(schema.field_count());
   for (size_t i = 0; i < schema.field_count(); ++i) {
-    const Field& f = schema.field(i);
-    const uint8_t* src = in + schema.offset(i);
-    switch (f.type) {
-      case ValueType::kInt64: {
-        int64_t x;
-        std::memcpy(&x, src, 8);
-        values.emplace_back(x);
-        break;
-      }
-      case ValueType::kDouble: {
-        double x;
-        std::memcpy(&x, src, 8);
-        values.emplace_back(x);
-        break;
-      }
-      case ValueType::kString: {
-        // Stored zero-padded; trim at the first NUL.
-        size_t len = 0;
-        while (len < f.width && src[len] != 0) ++len;
-        values.emplace_back(
-            std::string(reinterpret_cast<const char*>(src), len));
-        break;
-      }
+    DeserializeField(schema, i, in, &out->values_[i]);
+  }
+}
+
+void Tuple::DeserializeField(const Schema& schema, size_t i,
+                             const uint8_t* record, Value* out) {
+  const Field& f = schema.field(i);
+  const uint8_t* src = record + schema.offset(i);
+  switch (f.type) {
+    case ValueType::kInt64: {
+      int64_t x;
+      std::memcpy(&x, src, 8);
+      *out = Value(x);
+      break;
+    }
+    case ValueType::kDouble: {
+      double x;
+      std::memcpy(&x, src, 8);
+      *out = Value(x);
+      break;
+    }
+    case ValueType::kString: {
+      // Stored zero-padded; trim at the first NUL.
+      size_t len = 0;
+      while (len < f.width && src[len] != 0) ++len;
+      out->AssignString(reinterpret_cast<const char*>(src), len);
+      break;
     }
   }
-  return Tuple(std::move(values));
 }
 
 Tuple Tuple::Project(const std::vector<size_t>& indices) const {
-  std::vector<Value> out;
-  out.reserve(indices.size());
-  for (const size_t i : indices) {
-    VIEWMAT_CHECK(i < values_.size());
-    out.push_back(values_[i]);
+  Tuple out;
+  Project(indices, &out);
+  return out;
+}
+
+void Tuple::Project(const std::vector<size_t>& indices, Tuple* out) const {
+  out->values_.resize(indices.size());
+  for (size_t j = 0; j < indices.size(); ++j) {
+    VIEWMAT_CHECK(indices[j] < values_.size());
+    out->values_[j] = values_[indices[j]];
   }
-  return Tuple(std::move(out));
 }
 
 Tuple Tuple::Concat(const Tuple& left, const Tuple& right) {

@@ -31,8 +31,25 @@ class Tuple {
   /// Parses a record serialized with `schema`.
   static Tuple Deserialize(const Schema& schema, const uint8_t* in);
 
+  /// Parses a record into *out, overwriting its values in place: a tuple
+  /// that already held a row of this schema keeps its storage, so a scan
+  /// that decodes every row into one tuple allocates nothing per row.
+  static void Deserialize(const Schema& schema, const uint8_t* in,
+                          Tuple* out);
+
+  /// Parses field `i` of a record serialized with `schema` into *out, in
+  /// place like the above.
+  static void DeserializeField(const Schema& schema, size_t i,
+                               const uint8_t* record, Value* out);
+
   /// The tuple restricted to the given field indices, in that order.
   Tuple Project(const std::vector<size_t>& indices) const;
+
+  /// The same, written into *out in place.
+  void Project(const std::vector<size_t>& indices, Tuple* out) const;
+
+  /// Grows or shrinks to n values; the first min(n, size()) keep theirs.
+  void Resize(size_t n) { values_.resize(n); }
 
   /// Concatenation (join results).
   static Tuple Concat(const Tuple& left, const Tuple& right);

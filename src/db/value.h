@@ -33,6 +33,16 @@ class Value {
   double AsDouble() const { return std::get<double>(rep_); }
   const std::string& AsString() const { return std::get<std::string>(rep_); }
 
+  /// Makes this the string [data, data + size), reusing the buffer of a
+  /// string it already holds.
+  void AssignString(const char* data, size_t size) {
+    if (auto* s = std::get_if<std::string>(&rep_)) {
+      s->assign(data, size);
+    } else {
+      rep_.emplace<std::string>(data, size);
+    }
+  }
+
   /// Numeric view: int64 and double both convert; strings are an error.
   double Numeric() const;
 

@@ -1,6 +1,7 @@
 #include "hr/hypothetical_relation.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -92,16 +93,30 @@ Status HypotheticalRelation::RangeScanByKey(
   std::vector<db::Tuple> d_net;
   VIEWMAT_RETURN_IF_ERROR(ad_.ScanNet(&a_net, &d_net));
   const size_t key_field = base_->key_field();
+  auto key_of = [key_field](const db::Tuple& t) {
+    return t.at(key_field).AsInt64();
+  };
   auto in_range = [&](const db::Tuple& t) {
-    const int64_t k = t.at(key_field).AsInt64();
+    const int64_t k = key_of(t);
     return k >= lo && k <= hi;
   };
+  // The pending deletes grouped by key: a scanned row is compared only
+  // with its own key's.
+  std::vector<std::pair<int64_t, const db::Tuple*>> deletes;
+  deletes.reserve(d_net.size());
+  for (const db::Tuple& t : d_net) deletes.emplace_back(key_of(t), &t);
+  std::sort(deletes.begin(), deletes.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   bool keep_going = true;
   VIEWMAT_RETURN_IF_ERROR(
       base_->RangeScanByKey(lo, hi, [&](const db::Tuple& t) {
-        const bool deleted =
-            std::find(d_net.begin(), d_net.end(), t) != d_net.end();
-        if (deleted) return true;
+        const int64_t k = key_of(t);
+        auto it = std::lower_bound(
+            deletes.begin(), deletes.end(), k,
+            [](const auto& d, int64_t key) { return d.first < key; });
+        for (; it != deletes.end() && it->first == k; ++it) {
+          if (*it->second == t) return true;  // a pending delete
+        }
         keep_going = visit(t);
         return keep_going;
       }));

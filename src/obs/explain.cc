@@ -103,12 +103,16 @@ double BisectFlip(const CostFn& cost, const std::vector<Strategy>& candidates,
   return flipped;
 }
 
-/// Steps outward from x0 across `steps` grid positions per direction,
-/// looking for the nearest winner flip; bisects it when found.
+/// Steps outward from x0, the point's own value, across `steps` grid
+/// positions per direction, looking for the nearest winner flip; bisects it
+/// when found. A point outside the axis's range widens it to include x0.
 bool SearchAxis(const CostFn& cost, const std::vector<Strategy>& candidates,
                 const BoundaryAxis& axis, const Params& base,
                 Strategy incumbent, ExplainBoundary* out) {
-  const double x0 = std::clamp(axis.get(base), axis.lo, axis.hi);
+  const double x0 = axis.get(base);
+  if (axis.log_scale && !(x0 > 0)) return false;  // no log step from zero
+  const double range_lo = std::min(axis.lo, x0);
+  const double range_hi = std::max(axis.hi, x0);
   constexpr int kSteps = 96;
   auto position = [&](double lo, double hi, int i) {
     const double t = static_cast<double>(i) / kSteps;
@@ -120,8 +124,8 @@ bool SearchAxis(const CostFn& cost, const std::vector<Strategy>& candidates,
   Strategy best_challenger = incumbent;
   // Up from x0 and down from x0, independently; keep the closer flip.
   for (const bool upward : {true, false}) {
-    const double far = upward ? axis.hi : axis.lo;
-    if ((upward && x0 >= axis.hi) || (!upward && x0 <= axis.lo)) continue;
+    const double far = upward ? range_hi : range_lo;
+    if ((upward && x0 >= range_hi) || (!upward && x0 <= range_lo)) continue;
     double same = x0;
     for (int i = 1; i <= kSteps; ++i) {
       const double x = position(x0, far, i);
@@ -139,7 +143,7 @@ bool SearchAxis(const CostFn& cost, const std::vector<Strategy>& candidates,
                                     ? boundary * (upward ? 1.0 + 1e-9 : 1.0 - 1e-9)
                                     : boundary + (upward ? 1e-9 : -1e-9);
           best_challenger = WinnerAt(cost, candidates, axis, base,
-                                     std::clamp(beyond, axis.lo, axis.hi));
+                                     std::clamp(beyond, range_lo, range_hi));
         }
         break;
       }

@@ -363,11 +363,11 @@ Status DeferredStrategy::QueryViaModification(
     const MaterializedView::CountedVisitor& visit) {
   const size_t vkey = member.view->view_key_field();
   Status inner = Status::OK();
+  db::Tuple value;
   VIEWMAT_RETURN_IF_ERROR(hr_.RangeScanByKey(
       std::numeric_limits<int64_t>::min(),
       std::numeric_limits<int64_t>::max(), [&](const db::Tuple& t) {
         if (tracker_ != nullptr) tracker_->ChargeTupleCpu();
-        db::Tuple value;
         auto mapped = MapToView(member.def, t, &value, tracker_);
         if (!mapped.ok()) {
           inner = mapped.status();

@@ -98,9 +98,9 @@ Status HybridStrategy::Query(int64_t lo, int64_t hi,
     // deferring its refresh.
     ++qm_choices_;
     const SelectProjectDef& def = sp_def();
+    db::Tuple value;
     return hypothetical()->RangeScanByKey(lo, hi, [&](const db::Tuple& t) {
       if (tracker != nullptr) tracker->ChargeTupleCpu();
-      db::Tuple value;
       if (!def.MapTuple(t, &value)) return true;
       return visit(value, 1);
     });

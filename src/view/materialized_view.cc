@@ -1,6 +1,5 @@
 #include "view/materialized_view.h"
 
-#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -38,42 +37,31 @@ db::Tuple MaterializedView::WithCount(const db::Tuple& value,
   return db::Tuple(std::move(vals));
 }
 
-namespace {
-
-/// The duplicate count of a stored tuple.
-int64_t CountOf(const db::Tuple& stored) {
-  return stored.values().back().AsInt64();
-}
-
-}  // namespace
-
-StatusOr<db::Tuple> MaterializedView::FindStored(
+StatusOr<int64_t> MaterializedView::FindStored(
     const db::Tuple& value) const {
   const int64_t key = value.at(view_key_field_).AsInt64();
-  db::Tuple found;
+  // The view fields are a prefix of the stored record (count_offset_ bytes).
+  std::vector<uint8_t> bytes(view_schema_.record_size());
+  value.Serialize(view_schema_, bytes.data());
+  int64_t count = 0;
   bool have = false;
   VIEWMAT_RETURN_IF_ERROR(
-      stored_->FindAllByKey(key, [&](const db::Tuple& stored) {
-        const std::vector<db::Value>& fields = stored.values();
-        if (fields.size() == value.size() + 1 &&
-            std::equal(value.values().begin(), value.values().end(),
-                       fields.begin())) {
-          found = stored;
-          have = true;
-          return false;
-        }
-        return true;
+      stored_->RangeScanRecords(key, key, [&](const uint8_t* record) {
+        if (std::memcmp(record, bytes.data(), count_offset_) != 0) return true;
+        std::memcpy(&count, record + count_offset_, sizeof(count));
+        have = true;
+        return false;
       }));
   if (!have) return Status::NotFound("view value not stored");
-  return found;
+  return count;
 }
 
 Status MaterializedView::ApplyInsert(const db::Tuple& value) {
   auto existing = FindStored(value);
   ++total_count_;
   if (existing.ok()) {
-    return stored_->UpdateExact(*existing,
-                                WithCount(value, CountOf(*existing) + 1));
+    return stored_->UpdateExact(WithCount(value, *existing),
+                                WithCount(value, *existing + 1));
   }
   return stored_->Insert(WithCount(value, 1));
 }
@@ -85,12 +73,13 @@ Status MaterializedView::ApplyDelete(const db::Tuple& value) {
         "counting invariant violated: deleting an absent view value " +
         value.ToString());
   }
-  const int64_t count = CountOf(*existing);
+  const int64_t count = *existing;
   --total_count_;
   if (count > 1) {
-    return stored_->UpdateExact(*existing, WithCount(value, count - 1));
+    return stored_->UpdateExact(WithCount(value, count),
+                                WithCount(value, count - 1));
   }
-  return stored_->DeleteExact(*existing);
+  return stored_->DeleteExact(WithCount(value, count));
 }
 
 Status MaterializedView::ApplyDelta(const std::vector<db::Tuple>& inserts,
@@ -106,10 +95,12 @@ Status MaterializedView::ApplyDelta(const std::vector<db::Tuple>& inserts,
 
 Status MaterializedView::Query(int64_t lo, int64_t hi,
                                const CountedVisitor& visit) const {
+  db::Tuple value;
   return stored_->RangeScanRecords(lo, hi, [&](const uint8_t* record) {
     int64_t count;
     std::memcpy(&count, record + count_offset_, sizeof(count));
-    return visit(db::Tuple::Deserialize(view_schema_, record), count);
+    db::Tuple::Deserialize(view_schema_, record, &value);
+    return visit(value, count);
   });
 }
 

@@ -23,10 +23,13 @@ namespace viewmat::view {
 /// Storage: a clustered B+-tree on the view's key field, with the count as
 /// a hidden trailing int64 column. The stored schema is the view schema plus
 /// that column, so the view fields keep their offsets: a scan decodes each
-/// record once with the view schema and reads the count at its fixed offset.
+/// record once with the view schema and reads the count at its fixed offset,
+/// and a lookup matches a value by its serialized view-field bytes.
 class MaterializedView {
  public:
-  /// Visitor over distinct view values with their multiplicities.
+  /// Visitor over distinct view values with their multiplicities. As with
+  /// db::Relation::TupleVisitor, a visited value is valid only during its
+  /// visit: copy it to keep it.
   using CountedVisitor =
       std::function<bool(const db::Tuple& value, int64_t count)>;
 
@@ -71,8 +74,10 @@ class MaterializedView {
   /// The stored tuple = view value + trailing count column.
   db::Tuple WithCount(const db::Tuple& value, int64_t count) const;
 
-  /// Finds the stored tuple equal to `value` on all view fields.
-  StatusOr<db::Tuple> FindStored(const db::Tuple& value) const;
+  /// The duplicate count of the stored row whose view fields serialize to
+  /// the same bytes as `value` — the rule UpdateExact and DeleteExact then
+  /// match the stored row by — or NotFound.
+  StatusOr<int64_t> FindStored(const db::Tuple& value) const;
 
   db::Schema view_schema_;
   db::Schema stored_schema_;

@@ -31,9 +31,9 @@ Status QmSelectProjectStrategy::Query(
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "query");
   // Modified query: σ_{X ∧ key∈[lo,hi]}(R), projected. Each value is
   // emitted with count 1; projection duplicates appear as repeated values.
+  db::Tuple value;
   auto emit = [&](const db::Tuple& base_tuple) {
     if (tracker_ != nullptr) tracker_->ChargeTupleCpu();  // predicate screen
-    db::Tuple value;
     if (!def_.MapTuple(base_tuple, &value)) return true;
     return visit(value, 1);
   };
@@ -77,9 +77,9 @@ Status QmJoinStrategy::Query(int64_t lo, int64_t hi,
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "query");
   // Nested loops: outer = clustered scan of R1 restricted to the queried
   // key range; inner = hash probe into R2 per surviving outer tuple.
+  db::Tuple value;
   return def_.r1->RangeScanByKey(lo, hi, [&](const db::Tuple& r1_tuple) {
     if (tracker_ != nullptr) tracker_->ChargeTupleCpu();  // screen vs C_f
-    db::Tuple value;
     auto mapped = def_.MapTuple(r1_tuple, &value, tracker_);
     if (!mapped.ok() || !*mapped) return true;
     return visit(value, 1);

@@ -52,7 +52,9 @@ class ViewStrategy {
   virtual Status OnTransaction(const db::Transaction& txn) = 0;
 
   /// Queries the view for values whose view key lies in [lo, hi]; the
-  /// visitor receives each distinct value with its multiplicity.
+  /// visitor receives each distinct value with its multiplicity. A visited
+  /// value is valid only during its visit (answers are decoded into one
+  /// reused tuple): copy it to keep it.
   virtual Status Query(int64_t lo, int64_t hi,
                        const MaterializedView::CountedVisitor& visit) = 0;
 

@@ -62,13 +62,14 @@ inline StatusOr<bool> MapToView(const TupleViewDef& def, const db::Tuple& t,
 }
 
 /// Scan visitor inserting each visited tuple's view image into `view`; the
-/// first failure lands in *inner and stops the scan.
+/// first failure lands in *inner and stops the scan. Every image is mapped
+/// into one tuple the visitor owns.
 inline db::Relation::TupleVisitor ViewInserter(const TupleViewDef& def,
                                                storage::CostTracker* tracker,
                                                MaterializedView* view,
                                                Status* inner) {
-  return [&def, tracker, view, inner](const db::Tuple& t) {
-    db::Tuple value;
+  return [&def, tracker, view, inner,
+          value = db::Tuple()](const db::Tuple& t) mutable {
     auto mapped = MapToView(def, t, &value, tracker);
     if (!mapped.ok()) {
       *inner = mapped.status();

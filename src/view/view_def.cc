@@ -11,7 +11,7 @@ db::Schema SelectProjectDef::ViewSchema() const {
 bool SelectProjectDef::MapTuple(const db::Tuple& base_tuple,
                                 db::Tuple* out) const {
   if (!predicate->Evaluate(base_tuple)) return false;
-  *out = base_tuple.Project(projection);
+  base_tuple.Project(projection, out);
   return true;
 }
 
@@ -44,13 +44,22 @@ StatusOr<bool> JoinDef::MapTuple(const db::Tuple& r1_tuple, db::Tuple* out,
                                  storage::CostTracker* tracker) const {
   if (!cf->Evaluate(r1_tuple)) return false;
   const int64_t join_key = r1_tuple.at(r1_join_field).AsInt64();
-  db::Tuple partner;
-  const Status st = r2->FindByKey(join_key, &partner);
+  // The partner's projected fields decode straight into their places in
+  // *out, after R1's.
+  const Status st = r2->ReadByKey(join_key, [this, out](const uint8_t* rec) {
+    const size_t left = r1_projection.size();
+    out->Resize(left + r2_projection.size());
+    for (size_t j = 0; j < r2_projection.size(); ++j) {
+      db::Tuple::DeserializeField(r2->schema(), r2_projection[j], rec,
+                                  &out->at(left + j));
+    }
+  });
   if (st.code() == StatusCode::kNotFound) return false;
   VIEWMAT_RETURN_IF_ERROR(st);
   if (tracker != nullptr) tracker->ChargeTupleCpu();
-  *out = db::Tuple::Concat(r1_tuple.Project(r1_projection),
-                           partner.Project(r2_projection));
+  for (size_t j = 0; j < r1_projection.size(); ++j) {
+    out->at(j) = r1_tuple.at(r1_projection[j]);
+  }
   return true;
 }
 

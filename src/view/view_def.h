@@ -26,8 +26,9 @@ struct SelectProjectDef {
   /// Schema of the view's tuples.
   db::Schema ViewSchema() const;
 
-  /// Maps a base tuple through σ and π. Returns false when the tuple fails
-  /// the predicate (then *out is untouched). Does not charge costs.
+  /// Maps a base tuple through σ and π into *out, overwriting it in place.
+  /// Returns false when the tuple fails the predicate (then *out is
+  /// untouched). Does not charge costs.
   bool MapTuple(const db::Tuple& base_tuple, db::Tuple* out) const;
 
   /// Index (within the base schema) of the field the view clusters on.
@@ -51,7 +52,8 @@ struct JoinDef {
   db::Schema ViewSchema() const;
 
   /// Joins one R1 tuple against R2 through the hash index: returns true and
-  /// fills *out when the tuple satisfies C_f and a join partner exists.
+  /// fills *out in place when the tuple satisfies C_f and a join partner
+  /// exists (without a partner *out is untouched).
   /// Charges one C1 tuple-CPU op for the match when `tracker` is non-null
   /// (the probe's I/O is charged by the hash index itself).
   StatusOr<bool> MapTuple(const db::Tuple& r1_tuple, db::Tuple* out,

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "db/catalog.h"
@@ -52,6 +55,20 @@ TEST_P(RelationTest, DeleteExactRemovesOneMatch) {
   ASSERT_TRUE(rel_.FindByKey(5, &out).ok());
   EXPECT_EQ(out.at(1).AsInt64(), 2);
   EXPECT_EQ(rel_.DeleteExact(Row(5, 1)).code(), StatusCode::kNotFound);
+}
+
+TEST_P(RelationTest, OverWidthStringMatchesItsStoredCopy) {
+  // The tag column is 8 bytes wide: the row is stored truncated, and the
+  // exact-match writes find it by the bytes the value serializes to.
+  const Tuple wide = Row(6, 1, "truncated-tag");
+  ASSERT_TRUE(rel_.Insert(wide).ok());
+  Tuple out;
+  ASSERT_TRUE(rel_.FindByKey(6, &out).ok());
+  EXPECT_EQ(out.at(2).AsString(), "truncate");
+  ASSERT_TRUE(rel_.UpdateExact(wide, Row(6, 2, "truncated-tag")).ok());
+  const Status st = rel_.DeleteExact(Row(6, 2, "truncated-tag"));
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(rel_.tuple_count(), 0u);
 }
 
 TEST_P(RelationTest, DuplicateIdenticalTuplesDeleteOneAtATime) {
@@ -131,6 +148,63 @@ TEST_P(RelationTest, RangeScanWhereSupported) {
   ASSERT_TRUE(st.ok());
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(seen, (std::vector<int64_t>{10, 11, 12, 13, 14}));
+}
+
+TEST_P(RelationTest, ReusedRowsCarryNoStaleBytes) {
+  // A scan decodes every row into one tuple: a long string followed by a
+  // short and then an empty one must each read back exactly, with the
+  // field after them intact.
+  const Schema schema({Field::Int64("key"), Field::String("s", 40),
+                       Field::Int64("n")});
+  Relation rel(&pool_, "s", schema, GetParam(), 0);
+  const std::string kLong(40, 'L');
+  const std::vector<std::pair<int64_t, std::string>> rows = {
+      {8, kLong}, {7, ""}, {9, kLong}, {9, "short"}, {9, ""}};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE(rel.Insert(Tuple({Value(rows[i].first), Value(rows[i].second),
+                                  Value(static_cast<int64_t>(i))}))
+                    .ok());
+  }
+  // Each visit must match one inserted row exactly; a key's duplicates keep
+  // their insertion order under every access method.
+  auto check = [&](const std::string& entry_point, size_t expected_rows,
+                   auto scan) {
+    SCOPED_TRACE(entry_point);
+    std::vector<std::string> nines;
+    size_t visited = 0;
+    const Status st = scan([&](const Tuple& t) {
+      const size_t n = static_cast<size_t>(t.at(2).AsInt64());
+      EXPECT_LT(n, rows.size());
+      if (n >= rows.size()) return false;
+      EXPECT_EQ(t.at(0).AsInt64(), rows[n].first);
+      EXPECT_EQ(t.at(1).AsString(), rows[n].second);
+      if (rows[n].first == 9) nines.push_back(t.at(1).AsString());
+      ++visited;
+      return true;
+    });
+    if (entry_point == "RangeScanByKey" &&
+        GetParam() == AccessMethod::kClusteredHash) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      return;
+    }
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(visited, expected_rows);
+    EXPECT_EQ(nines, (std::vector<std::string>{kLong, "short", ""}));
+  };
+  check("Scan", rows.size(),
+        [&](const Relation::TupleVisitor& v) { return rel.Scan(v); });
+  check("RangeScanByKey", rows.size(), [&](const Relation::TupleVisitor& v) {
+    return rel.RangeScanByKey(0, 100, v);
+  });
+  check("FindAllByKey", 3, [&](const Relation::TupleVisitor& v) {
+    return rel.FindAllByKey(9, v);
+  });
+  Tuple out;
+  ASSERT_TRUE(rel.FindByKey(8, &out).ok());
+  EXPECT_EQ(out.at(1).AsString(), kLong);
+  ASSERT_TRUE(rel.FindByKey(7, &out).ok());
+  EXPECT_EQ(out, Tuple({Value(int64_t{7}), Value(std::string()),
+                        Value(int64_t{1})}));
 }
 
 INSTANTIATE_TEST_SUITE_P(

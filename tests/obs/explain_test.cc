@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/json.h"
 #include "costmodel/model1.h"
@@ -62,9 +63,25 @@ TEST(Explain, WinnerAgreesWithTheSharedCostModel) {
 }
 
 TEST(Explain, BoundariesActuallyFlipTheWinner) {
-  // For every reported boundary, the challenger must win just beyond it.
-  const Params p = Params().WithUpdateProbability(0.3);
+  // For every reported boundary, the challenger must win just beyond it,
+  // and the search starts from the point's own value.
+  struct Point {
+    int model;
+    Params params;
+  };
+  std::vector<Point> points;
   for (int model = 1; model <= 3; ++model) {
+    points.push_back({model, Params().WithUpdateProbability(0.3)});
+  }
+  // §3.5's EMP-DEPT point: f_v = 1/N lies below the f_v axis's range.
+  Params emp_dept;
+  emp_dept.f = 1.0;
+  emp_dept.l = 1.0;
+  emp_dept.f_v = 1.0 / emp_dept.N;
+  points.push_back({2, emp_dept.WithUpdateProbability(0.2)});
+  for (const Point& point : points) {
+    const int model = point.model;
+    const Params& p = point.params;
     const ExplainReport report = BuildExplain(model, p);
     const auto cost = ModelCostFn(model);
     for (const ExplainBoundary& b : report.boundaries) {
@@ -74,17 +91,23 @@ TEST(Explain, BoundariesActuallyFlipTheWinner) {
           (b.boundary - b.current) * 1e-3 + (b.boundary > b.current ? 1e-9
                                                                     : -1e-9);
       const double x = b.boundary + overshoot;
+      double own = 0;
       if (b.param == "P") {
         beyond = p.WithUpdateProbability(x);
+        own = p.P();
       } else if (b.param == "f") {
         beyond.f = x;
+        own = p.f;
       } else if (b.param == "f_v") {
         beyond.f_v = x;
+        own = p.f_v;
       } else if (b.param == "l") {
         beyond.l = x;
+        own = p.l;
       } else {
         FAIL() << "unknown boundary axis " << b.param;
       }
+      EXPECT_EQ(b.current, own) << "model " << model << " axis " << b.param;
       const Strategy flipped = costmodel::Winner(
           cost, ModelCandidates(model), beyond);
       EXPECT_NE(flipped, report.winner())
