@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/random.h"
 #include "sim/bench_report.h"
 #include "sim/report.h"
@@ -30,31 +29,25 @@ int main(int argc, char** argv) {
   Random key_rng(404);
   std::vector<uint64_t> keys;
   for (int i = 0; i < kAdKeys; ++i) keys.push_back(key_rng.Next());
-  // Each filter size builds and probes its own filter with a fixed probe
-  // seed, so the sizes run concurrently and rows append in index order.
-  const std::vector<size_t> sizes = {64, 128, 256, 512, 1024, 2048, 4096};
-  const auto rows = common::ParallelMap(
-      cli.effective_jobs(), sizes.size(), [&](size_t idx) {
-        const size_t bits = sizes[idx];
-        // Hash count tuned to the load factor, as ForExpectedKeys would pick.
-        const int hashes = std::max(
-            1, static_cast<int>(0.693 * static_cast<double>(bits) / kAdKeys));
-        storage::BloomFilter filter(bits, hashes);
-        for (const uint64_t k : keys) filter.Add(k);
-        Random probe_rng(505);
-        int fp = 0;
-        for (int i = 0; i < kProbes; ++i) {
-          if (filter.MayContain(probe_rng.Next())) ++fp;
-        }
-        const double measured = static_cast<double>(fp) / kProbes;
-        // Each false drop wastes one 30 ms AD probe.
-        return std::vector<double>{static_cast<double>(bits) / kAdKeys,
-                                   100.0 * filter.ExpectedFpRate(),
-                                   100.0 * measured,
-                                   measured * 1000.0 * 30.0};
-      });
-  for (size_t i = 0; i < rows.size(); ++i) {
-    table.AddRow(static_cast<double>(sizes[i]), rows[i]);
+  // Every filter size probes the same seeded key stream, so the sizes
+  // compare like for like.
+  for (const size_t bits : {64, 128, 256, 512, 1024, 2048, 4096}) {
+    // Hash count tuned to the load factor, as ForExpectedKeys would pick.
+    const int hashes = std::max(
+        1, static_cast<int>(0.693 * static_cast<double>(bits) / kAdKeys));
+    storage::BloomFilter filter(bits, hashes);
+    for (const uint64_t k : keys) filter.Add(k);
+    Random probe_rng(505);
+    int fp = 0;
+    for (int i = 0; i < kProbes; ++i) {
+      if (filter.MayContain(probe_rng.Next())) ++fp;
+    }
+    const double measured = static_cast<double>(fp) / kProbes;
+    // Each false drop wastes one 30 ms AD probe.
+    table.AddRow(static_cast<double>(bits),
+                 {static_cast<double>(bits) / kAdKeys,
+                  100.0 * filter.ExpectedFpRate(), 100.0 * measured,
+                  measured * 1000.0 * 30.0});
   }
   std::printf("%s", table.ToString().c_str());
   std::printf(

@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
   for (const double c3 : {0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0}) {
     Params p;
     p.C3 = c3;
-    const auto grid = costmodel::ComputeRegions(cost_fn, candidates, p, f_axis,
-                                                p_axis, cli.effective_jobs());
+    const auto grid =
+        costmodel::ComputeRegions(cost_fn, candidates, p, f_axis, p_axis);
     table.AddRow(c3, {costmodel::TotalDeferred1(p),
                       costmodel::TotalImmediate1(p),
                       100.0 * grid.WinShare(Strategy::kDeferred)});

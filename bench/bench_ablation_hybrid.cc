@@ -7,7 +7,6 @@
 
 #include <cstdio>
 
-#include "common/parallel.h"
 #include "common/random.h"
 #include "db/catalog.h"
 #include "sim/bench_report.h"
@@ -97,39 +96,34 @@ int main(int argc, char** argv) {
   const std::vector<int64_t> spans =
       cli.quick ? std::vector<int64_t>{10, 800}
                 : std::vector<int64_t>{1, 10, 50, 200, 800};
-  // Each span builds three private Envs (tracker, disk, pool) and a
-  // fixed-seed workload, so the spans run concurrently; rows append in
-  // index order, identical at any --jobs value.
-  const auto rows = common::ParallelMap(
-      cli.effective_jobs(), spans.size(), [&](size_t i) {
-        const int64_t span = spans[i];
-        double qm_ms, view_ms, hybrid_ms, qm_share;
-        {
-          Env env;
-          view::QmSelectProjectStrategy qm(env.Def(), &env.tracker);
-          qm_ms = Drive(&env, &qm, span);
-        }
-        {
-          Env env;
-          view::DeferredStrategy view_only(env.Def(), hr::AdFile::Options{},
-                                           &env.tracker);
-          (void)view_only.InitializeFromBase();
-          view_ms = Drive(&env, &view_only, span);
-        }
-        {
-          Env env;
-          view::HybridStrategy hybrid(env.Def(), hr::AdFile::Options{},
-                                      &env.tracker);
-          (void)hybrid.InitializeFromBase();
-          hybrid_ms = Drive(&env, &hybrid, span);
-          const double total = static_cast<double>(hybrid.qm_choices() +
-                                                   hybrid.view_choices());
-          qm_share = total > 0 ? 100.0 * hybrid.qm_choices() / total : 0.0;
-        }
-        return std::vector<double>{qm_ms, view_ms, hybrid_ms, qm_share};
-      });
-  for (size_t i = 0; i < rows.size(); ++i) {
-    table.AddRow(static_cast<double>(spans[i]), rows[i]);
+  // Each span builds three fresh Envs (tracker, disk, pool) and drives a
+  // fixed-seed workload through each strategy.
+  for (const int64_t span : spans) {
+    double qm_ms, view_ms, hybrid_ms, qm_share;
+    {
+      Env env;
+      view::QmSelectProjectStrategy qm(env.Def(), &env.tracker);
+      qm_ms = Drive(&env, &qm, span);
+    }
+    {
+      Env env;
+      view::DeferredStrategy view_only(env.Def(), hr::AdFile::Options{},
+                                       &env.tracker);
+      (void)view_only.InitializeFromBase();
+      view_ms = Drive(&env, &view_only, span);
+    }
+    {
+      Env env;
+      view::HybridStrategy hybrid(env.Def(), hr::AdFile::Options{},
+                                  &env.tracker);
+      (void)hybrid.InitializeFromBase();
+      hybrid_ms = Drive(&env, &hybrid, span);
+      const double total =
+          static_cast<double>(hybrid.qm_choices() + hybrid.view_choices());
+      qm_share = total > 0 ? 100.0 * hybrid.qm_choices() / total : 0.0;
+    }
+    table.AddRow(static_cast<double>(span),
+                 {qm_ms, view_ms, hybrid_ms, qm_share});
   }
   std::printf("%s", table.ToString().c_str());
   std::printf(

@@ -6,10 +6,9 @@
 // measure the AD read amortization against V independent refresh waves.
 
 #include <cstdio>
-#include <string>
+#include <map>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/random.h"
 #include "db/catalog.h"
 #include "sim/bench_report.h"
@@ -28,17 +27,9 @@ int main(int argc, char** argv) {
   table.x_label = "views";
   table.series_names = {"shared-ad-reads", "per-view-ad-reads(est)"};
 
-  // Each view count gets its own engine stack; the per-iteration progress
-  // line is captured into the task's result and printed in index order so
-  // stdout stays deterministic at any --jobs value.
-  const std::vector<int> v_counts = {1, 2, 4, 8};
-  struct PointResult {
-    std::vector<double> row;
-    std::string line;
-  };
-  const auto points = common::ParallelMap(
-      cli.effective_jobs(), v_counts.size(), [&](size_t idx) {
-    const int v_count = v_counts[idx];
+  // Each view count gets its own engine stack; its progress line prints as
+  // the point finishes, ahead of the table.
+  for (const int v_count : {1, 2, 4, 8}) {
     storage::CostTracker tracker(1.0, 30.0, 1.0);
     storage::SimulatedDisk disk(4000, &tracker);
     storage::BufferPool pool(&disk, 128);
@@ -95,21 +86,12 @@ int main(int argc, char** argv) {
         (tracker.attributed() - attributed_before)
             .at(storage::Component::kHashIndex, storage::Phase::kRefresh)
             .disk_reads;
-    PointResult result;
-    result.row = {static_cast<double>(ad_reads),
-                  static_cast<double>(ad_reads) * v_count};
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "  [views=%d: refresh wave did %llu reads total, "
-                  "%llu of them AD pages read once instead of %d times]\n",
-                  v_count, static_cast<unsigned long long>(delta.disk_reads),
-                  static_cast<unsigned long long>(ad_reads), v_count);
-    result.line = line;
-    return result;
-  });
-  for (size_t i = 0; i < points.size(); ++i) {
-    table.AddRow(v_counts[i], points[i].row);
-    std::printf("%s", points[i].line.c_str());
+    table.AddRow(v_count, {static_cast<double>(ad_reads),
+                           static_cast<double>(ad_reads) * v_count});
+    std::printf("  [views=%d: refresh wave did %llu reads total, "
+                "%llu of them AD pages read once instead of %d times]\n",
+                v_count, static_cast<unsigned long long>(delta.disk_reads),
+                static_cast<unsigned long long>(ad_reads), v_count);
   }
   std::printf("\n%s", table.ToString().c_str());
   report.AddTable(table);

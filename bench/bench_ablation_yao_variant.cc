@@ -65,14 +65,12 @@ int main(int argc, char** argv) {
     pa.C3 = c3;
     Params pe = pa;
     pe.use_exact_yao = true;
-    const double sa = costmodel::ComputeRegions(cost_fn, candidates, pa,
-                                                f_axis, p_axis,
-                                                cli.effective_jobs())
-                          .WinShare(Strategy::kDeferred);
-    const double se = costmodel::ComputeRegions(cost_fn, candidates, pe,
-                                                f_axis, p_axis,
-                                                cli.effective_jobs())
-                          .WinShare(Strategy::kDeferred);
+    const double sa =
+        costmodel::ComputeRegions(cost_fn, candidates, pa, f_axis, p_axis)
+            .WinShare(Strategy::kDeferred);
+    const double se =
+        costmodel::ComputeRegions(cost_fn, candidates, pe, f_axis, p_axis)
+            .WinShare(Strategy::kDeferred);
     shares.AddRow(c3, {100.0 * sa, 100.0 * se});
   }
   std::printf("\n%s", shares.ToString().c_str());

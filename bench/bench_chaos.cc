@@ -11,9 +11,8 @@
 //
 // Everything in the tables is computed on the virtual clock, so the
 // report is deterministic and gated by bench_diff against the committed
-// BENCH_chaos.json; run fan-out across --jobs merges in run order, so any
-// worker count produces byte-identical tables. Wall-clock observations
-// live in the execution block — never gated, never compared across runs.
+// BENCH_chaos.json. Wall-clock observations live in the execution block —
+// never gated, never compared across runs.
 
 #include <cstdio>
 #include <string>
@@ -89,7 +88,6 @@ int main(int argc, char** argv) {
       options.model = combos[c].model;
       options.seed = 20240 + static_cast<uint64_t>(c);
       options.runs = runs_per_cell;
-      options.jobs = cli.jobs;
       const auto result = net::RunChaosOracle(options);
       if (!result.ok()) {
         std::fprintf(stderr, "%s %s failed: %s\n", pname,

@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
       sim::FaultSweepOptions options;
       options.strategy = kind;
       options.model = model;
-      options.jobs = cli.effective_jobs();
       options.runs_per_rate = cli.quick ? 4 : 25;
       options.fault_rates = cli.quick
                                 ? std::vector<double>{0.0, 0.03, 0.15}

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/parallel.h"
 #include "costmodel/model1.h"
 #include "sim/bench_report.h"
 #include "sim/report.h"
@@ -24,19 +23,13 @@ int main(int argc, char** argv) {
   table.series_names = {"deferred", "immediate", "clustered", "unclustered",
                         "sequential"};
   const Params base;
-  // Each P point depends only on its index; results collect in index
-  // order, so the table is identical at any --jobs value.
-  const auto rows = common::ParallelMap(
-      cli.effective_jobs(), 19, [&](size_t i) {
-        const Params p = base.WithUpdateProbability((i + 1) * 0.05);
-        return std::vector<double>{costmodel::TotalDeferred1(p),
-                                   costmodel::TotalImmediate1(p),
-                                   costmodel::TotalClustered(p),
-                                   costmodel::TotalUnclustered(p),
-                                   costmodel::TotalSequential(p)};
-      });
-  for (size_t i = 0; i < rows.size(); ++i) {
-    table.AddRow((i + 1) * 0.05, rows[i]);
+  for (int i = 1; i <= 19; ++i) {
+    const Params p = base.WithUpdateProbability(i * 0.05);
+    table.AddRow(i * 0.05, {costmodel::TotalDeferred1(p),
+                            costmodel::TotalImmediate1(p),
+                            costmodel::TotalClustered(p),
+                            costmodel::TotalUnclustered(p),
+                            costmodel::TotalSequential(p)});
   }
   std::printf("%s", table.ToString().c_str());
   std::printf(

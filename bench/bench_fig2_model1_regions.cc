@@ -11,8 +11,7 @@ int main(int argc, char** argv) {
   sim::BenchReport report("bench_fig2_model1_regions", cli.quick);
   const costmodel::Params base;  // f_v = .1, C3 = 1
   const costmodel::RegionGrid grid = costmodel::ComputeRegions(
-      Model1CostOrInf, Model1Candidates(), base, FAxis(),
-      PAxis(), cli.effective_jobs());
+      Model1CostOrInf, Model1Candidates(), base, FAxis(), PAxis());
   ReportGrid(&report, "fig2",
              "Figure 2 — Model 1 winner regions, f (log) vs P, f_v = .1",
              grid);

@@ -14,11 +14,9 @@ int main(int argc, char** argv) {
   costmodel::Params fv01;
   fv01.f_v = 0.01;
   const auto grid10 = costmodel::ComputeRegions(
-      Model1CostOrInf, Model1Candidates(), fv10, FAxis(),
-      PAxis(), cli.effective_jobs());
+      Model1CostOrInf, Model1Candidates(), fv10, FAxis(), PAxis());
   const auto grid01 = costmodel::ComputeRegions(
-      Model1CostOrInf, Model1Candidates(), fv01, FAxis(),
-      PAxis(), cli.effective_jobs());
+      Model1CostOrInf, Model1Candidates(), fv01, FAxis(), PAxis());
   ReportGrid(&report, "fig3",
              "Figure 3 — Model 1 winner regions, f vs P, f_v = .01", grid01);
   char note[160];

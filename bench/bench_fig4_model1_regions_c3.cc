@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
     costmodel::Params p;
     p.C3 = c3;
     const auto grid = costmodel::ComputeRegions(
-        Model1CostOrInf, Model1Candidates(), p, FAxis(),
-        PAxis(), cli.effective_jobs());
+        Model1CostOrInf, Model1Candidates(), p, FAxis(), PAxis());
     char title[96];
     std::snprintf(title, sizeof(title),
                   "Figure 4 family — Model 1 winner regions, C3 = %.0f, "

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/parallel.h"
 #include "costmodel/crossover.h"
 #include "costmodel/model2.h"
 #include "sim/bench_report.h"
@@ -23,15 +22,11 @@ int main(int argc, char** argv) {
   table.x_label = "P";
   table.series_names = {"deferred", "immediate", "loopjoin"};
   const Params base;
-  const auto rows = common::ParallelMap(
-      cli.effective_jobs(), 19, [&](size_t i) {
-        const Params p = base.WithUpdateProbability((i + 1) * 0.05);
-        return std::vector<double>{costmodel::TotalDeferred2(p),
-                                   costmodel::TotalImmediate2(p),
-                                   costmodel::TotalLoopJoin(p)};
-      });
-  for (size_t i = 0; i < rows.size(); ++i) {
-    table.AddRow((i + 1) * 0.05, rows[i]);
+  for (int i = 1; i <= 19; ++i) {
+    const Params p = base.WithUpdateProbability(i * 0.05);
+    table.AddRow(i * 0.05, {costmodel::TotalDeferred2(p),
+                            costmodel::TotalImmediate2(p),
+                            costmodel::TotalLoopJoin(p)});
   }
   std::printf("%s", table.ToString().c_str());
   report.AddTable(table);

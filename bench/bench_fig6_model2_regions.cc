@@ -11,8 +11,7 @@ int main(int argc, char** argv) {
   sim::BenchReport report("bench_fig6_model2_regions", cli.quick);
   const costmodel::Params base;
   const auto grid = costmodel::ComputeRegions(
-      Model2CostOrInf, Model2Candidates(), base, FAxis(),
-      PAxis(), cli.effective_jobs());
+      Model2CostOrInf, Model2Candidates(), base, FAxis(), PAxis());
   ReportGrid(&report, "fig6",
              "Figure 6 — Model 2 winner regions, f (log) vs P, f_v = .1",
              grid);

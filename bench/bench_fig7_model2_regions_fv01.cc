@@ -13,11 +13,9 @@ int main(int argc, char** argv) {
   costmodel::Params fv01;
   fv01.f_v = 0.01;
   const auto grid10 = costmodel::ComputeRegions(
-      Model2CostOrInf, Model2Candidates(), fv10, FAxis(),
-      PAxis(), cli.effective_jobs());
+      Model2CostOrInf, Model2Candidates(), fv10, FAxis(), PAxis());
   const auto grid01 = costmodel::ComputeRegions(
-      Model2CostOrInf, Model2Candidates(), fv01, FAxis(),
-      PAxis(), cli.effective_jobs());
+      Model2CostOrInf, Model2Candidates(), fv01, FAxis(), PAxis());
   ReportGrid(&report, "fig7",
              "Figure 7 — Model 2 winner regions, f vs P, f_v = .01", grid01);
   char note[128];

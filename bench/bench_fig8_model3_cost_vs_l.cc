@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/parallel.h"
 #include "costmodel/model3.h"
 #include "sim/bench_report.h"
 #include "sim/report.h"
@@ -24,15 +23,13 @@ int main(int argc, char** argv) {
   table.series_names = {"deferred", "immediate", "clustered-scan"};
   const std::vector<double> ls = {1.0,   2.0,   5.0,   10.0,  25.0,  50.0,
                                   100.0, 200.0, 400.0, 700.0, 1000.0};
-  const auto rows = common::ParallelMap(
-      cli.effective_jobs(), ls.size(), [&](size_t i) {
-        Params p;
-        p.l = ls[i];
-        return std::vector<double>{costmodel::TotalDeferred3(p),
-                                   costmodel::TotalImmediate3(p),
-                                   costmodel::TotalRecompute3(p)};
-      });
-  for (size_t i = 0; i < rows.size(); ++i) table.AddRow(ls[i], rows[i]);
+  for (const double l : ls) {
+    Params p;
+    p.l = l;
+    table.AddRow(l, {costmodel::TotalDeferred3(p),
+                     costmodel::TotalImmediate3(p),
+                     costmodel::TotalRecompute3(p)});
+  }
   std::printf("%s", table.ToString().c_str());
   report.AddTable(table);
   Params small;

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/parallel.h"
 #include "costmodel/crossover.h"
 #include "sim/bench_report.h"
 #include "sim/report.h"
@@ -27,18 +26,15 @@ int main(int argc, char** argv) {
   const std::vector<double> ls = {1.0,   2.0,   5.0,    10.0,   25.0,  50.0,
                                   100.0, 250.0, 500.0,  1000.0, 2500.0,
                                   5000.0};
-  const auto rows = common::ParallelMap(
-      cli.effective_jobs(), ls.size(), [&](size_t i) {
-        std::vector<double> row;
-        for (const double f : fs) {
-          Params p;
-          p.f = f;
-          auto cross = costmodel::Model3EqualCostP(p, ls[i]);
-          row.push_back(cross.value_or(1.0));
-        }
-        return row;
-      });
-  for (size_t i = 0; i < rows.size(); ++i) table.AddRow(ls[i], rows[i]);
+  for (const double l : ls) {
+    std::vector<double> row;
+    for (const double f : fs) {
+      Params p;
+      p.f = f;
+      row.push_back(costmodel::Model3EqualCostP(p, l).value_or(1.0));
+    }
+    table.AddRow(l, row);
+  }
   std::printf("%s", table.ToString().c_str());
   std::printf(
       "\npaper's reading: curves sit very high (maintenance nearly always "

@@ -12,12 +12,11 @@
 //                                                --json <out.json>`, then
 //                                                validate the output
 //   bench_schema_check --determinism <bench> <out1.json> <out2.json>
-//                                                run the bench at --jobs 1
-//                                                and --jobs 8 and require
-//                                                byte-identical reports
-//                                                (minus the execution
-//                                                block, the only part
-//                                                allowed to differ)
+//                                                run `<bench> --quick` twice
+//                                                and require byte-identical
+//                                                reports (minus the
+//                                                execution block, the only
+//                                                part allowed to differ)
 //
 // Exit code 0 = every report valid. Used by the bench-smoke and
 // determinism ctest labels.
@@ -335,13 +334,6 @@ void CheckReport(const JsonValue& root, const std::string& file) {
       Require(root, file, "execution", JsonValue::Type::kObject);
   if (execution != nullptr) {
     const std::string exec_where = file + ".execution";
-    const JsonValue* jobs =
-        Require(*execution, exec_where, "jobs", JsonValue::Type::kNumber);
-    if (jobs != nullptr && jobs->number < 1) {
-      Fail(exec_where + ".jobs", "must be >= 1");
-    }
-    Require(*execution, exec_where, "hardware_threads",
-            JsonValue::Type::kNumber);
     const JsonValue* wall = Require(*execution, exec_where, "wall_seconds",
                                     JsonValue::Type::kNumber);
     if (wall != nullptr && wall->number < 0) {
@@ -462,13 +454,8 @@ std::string StripExecutionBlock(std::string text) {
 
 int CheckDeterminism(const std::string& bench, const std::string& out1,
                      const std::string& out2) {
-  const struct {
-    const char* jobs;
-    const std::string* path;
-  } runs[] = {{"1", &out1}, {"8", &out2}};
-  for (const auto& run : runs) {
-    const std::string command = bench + " --quick --jobs " + run.jobs +
-                                " --json " + *run.path;
+  for (const std::string* path : {&out1, &out2}) {
+    const std::string command = bench + " --quick --json " + *path;
     std::printf("$ %s\n", command.c_str());
     const int rc = std::system(command.c_str());
     if (rc != 0) {
@@ -481,15 +468,15 @@ int CheckDeterminism(const std::string& bench, const std::string& out1,
   const std::string b = StripExecutionBlock(ReadFileOrDie(out2));
   if (a != b) {
     std::fprintf(stderr,
-                 "DETERMINISM FAILURE: %s differs between --jobs 1 and "
-                 "--jobs 8 outside the execution block\n",
+                 "DETERMINISM FAILURE: %s differs between two runs outside "
+                 "the execution block\n",
                  bench.c_str());
     size_t i = 0;
     while (i < a.size() && i < b.size() && a[i] == b[i]) ++i;
     std::fprintf(stderr, "first divergence at byte %zu\n", i);
     return 1;
   }
-  std::printf("%s: byte-identical at --jobs 1 and --jobs 8\n", bench.c_str());
+  std::printf("%s: byte-identical across two runs\n", bench.c_str());
   return 0;
 }
 

@@ -4,9 +4,9 @@
 // Reports per-cell throughput, conflict, and wait numbers, and runs the
 // serializability oracle on every cell: the final state must equal the
 // serial order of its committed transactions, with no stale query answer.
-// Every number is a function of the seeded options, so the report differs
-// between --jobs settings only in the execution block — which is exactly
-// what the determinism ctest entry checks.
+// Every number is a function of the seeded options, so two runs' reports
+// differ only in the execution block — which is exactly what the
+// determinism ctest entry checks.
 
 #include <cstdio>
 #include <string>

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/parallel.h"
 #include "sim/bench_report.h"
 #include "sim/report.h"
 #include "sim/simulator.h"
@@ -50,36 +49,23 @@ int main(int argc, char** argv) {
                                      ? std::vector<double>{0.3, 0.7}
                                      : std::vector<double>{0.1, 0.3, 0.5,
                                                            0.7, 0.9};
-  // Every P point runs both models against its own private engine
-  // instance (options carries no shared tracer or metrics here), so the
-  // points execute concurrently; rows append in index order below, and
-  // the tables are identical at any --jobs value.
-  struct PointRows {
-    std::vector<double> row1;  ///< empty when the model-1 run failed
-    std::vector<double> row2;  ///< empty when the model-2 run failed
-  };
-  const auto points = common::ParallelMap(
-      cli.effective_jobs(), ps.size(), [&](size_t i) {
-        const costmodel::Params p = base.WithUpdateProbability(ps[i]);
-        PointRows rows;
-        auto r1 = sim::Simulate(1, p, options);
-        if (r1.ok()) {
-          rows.row1 = {AdjustedOf(*r1, "deferred"),
+  // Every P point runs both models, each on a fresh engine instance; a
+  // model whose run fails leaves no row.
+  for (const double prob : ps) {
+    const costmodel::Params p = base.WithUpdateProbability(prob);
+    auto r1 = sim::Simulate(1, p, options);
+    if (r1.ok()) {
+      m1.AddRow(prob, {AdjustedOf(*r1, "deferred"),
                        AdjustedOf(*r1, "immediate"),
                        AdjustedOf(*r1, "clustered"),
-                       AdjustedOf(*r1, "unclustered")};
-        }
-        auto r2 = sim::Simulate(2, p, options);
-        if (r2.ok()) {
-          rows.row2 = {AdjustedOf(*r2, "deferred"),
+                       AdjustedOf(*r1, "unclustered")});
+    }
+    auto r2 = sim::Simulate(2, p, options);
+    if (r2.ok()) {
+      m2.AddRow(prob, {AdjustedOf(*r2, "deferred"),
                        AdjustedOf(*r2, "immediate"),
-                       AdjustedOf(*r2, "loopjoin")};
-        }
-        return rows;
-      });
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (!points[i].row1.empty()) m1.AddRow(ps[i], points[i].row1);
-    if (!points[i].row2.empty()) m2.AddRow(ps[i], points[i].row2);
+                       AdjustedOf(*r2, "loopjoin")});
+    }
   }
   std::printf("%s\n%s", m1.ToString().c_str(), m2.ToString().c_str());
   std::printf(

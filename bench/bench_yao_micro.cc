@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "costmodel/yao.h"
@@ -53,20 +54,38 @@ BENCHMARK(BM_YaoApproxNullSpan)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
 namespace {
 
+/// ns/op of one timed loop of `iters` calls.
+template <typename Fn>
+double LoopNsPerOp(int iters, Fn fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < iters; ++i) fn(i);
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
+}
+
+/// Nearest-rank quartiles of a sample.
+struct Quartiles {
+  double q1 = 0;
+  double median = 0;
+  double q3 = 0;
+};
+
+Quartiles QuartilesOf(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const size_t n = samples.size();
+  return {samples[n / 4], samples[n / 2], samples[3 * n / 4]};
+}
+
 /// Median-of-5 ns/op over repeated timed loops of `iters` calls.
 template <typename Fn>
 double NsPerOp(int iters, Fn fn) {
   std::vector<double> samples;
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) fn(i);
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration<double, std::nano>(t1 - t0).count() / iters);
-  }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  for (int rep = 0; rep < 5; ++rep) samples.push_back(LoopNsPerOp(iters, fn));
+  return QuartilesOf(std::move(samples)).median;
 }
+
+/// Rounds of the paired null-span measurement.
+constexpr int kPairedRounds = 21;
 
 }  // namespace
 
@@ -102,28 +121,56 @@ int main(int argc, char** argv) {
     // Manual timing: google-benchmark owns stdout and argv, so the JSON
     // path measures with a plain chrono loop instead.
     const int iters = cli.quick ? 20000 : 200000;
-    const double approx_ns = NsPerOp(iters, [](int i) {
+    auto approx = [](int i) {
       benchmark::DoNotOptimize(
           costmodel::YaoApprox(100000.0, 2500.0, 10.0 + (i & 7)));
-    });
-    const double null_span_ns = NsPerOp(iters, [](int i) {
+    };
+    auto null_span = [](int i) {
       const obs::ScopedSpan span(nullptr, "yao");
       benchmark::DoNotOptimize(
           costmodel::YaoApprox(100000.0, 2500.0, 10.0 + (i & 7)));
-    });
+    };
+    // Paired: each round times the plain loop and the null-span loop back
+    // to back, alternating which goes first, so a drift in machine speed
+    // between rounds cancels out of the round's difference.
+    std::vector<double> approx_samples;
+    std::vector<double> span_samples;
+    std::vector<double> diffs;
+    for (int round = 0; round < kPairedRounds; ++round) {
+      double plain_ns, span_ns;
+      if (round % 2 == 0) {
+        plain_ns = LoopNsPerOp(iters, approx);
+        span_ns = LoopNsPerOp(iters, null_span);
+      } else {
+        span_ns = LoopNsPerOp(iters, null_span);
+        plain_ns = LoopNsPerOp(iters, approx);
+      }
+      approx_samples.push_back(plain_ns);
+      span_samples.push_back(span_ns);
+      diffs.push_back(span_ns - plain_ns);
+    }
+    const double approx_ns = QuartilesOf(approx_samples).median;
+    const double null_span_ns = QuartilesOf(span_samples).median;
+    const Quartiles overhead_ns = QuartilesOf(diffs);
     const double exact_ns = NsPerOp(cli.quick ? 200 : 2000, [](int i) {
       benchmark::DoNotOptimize(costmodel::YaoExact(100000, 2500, 1000 + i));
     });
     sim::SeriesTable timing;
-    timing.title = "Microbenchmark timings (wall clock, median of 5)";
+    timing.title = "Microbenchmark timings (wall clock; approx and "
+                   "null-span: median of " +
+                   std::to_string(kPairedRounds) +
+                   " paired rounds, exact: median of 5)";
     timing.x_label = "row";
     timing.series_names = {"yao-approx-ns", "yao-approx-null-span-ns",
                            "yao-exact-k1000-ns"};
     timing.AddRow(0, {approx_ns, null_span_ns, exact_ns});
     report.AddTable(timing);
-    char overhead[96];
-    std::snprintf(overhead, sizeof(overhead), "%.2f ns/span (approx %.2f)",
-                  null_span_ns - approx_ns, approx_ns);
+    char overhead[160];
+    std::snprintf(overhead, sizeof(overhead),
+                  "%.2f ns/span (median of %d paired rounds, quartiles "
+                  "%.2f..%.2f; approx %.2f)",
+                  overhead_ns.median, kPairedRounds, overhead_ns.q1,
+                  overhead_ns.q3, approx_ns);
     report.AddNote("null_span_overhead", overhead);
     std::printf("disabled-tracer span overhead: %s\n", overhead);
     return sim::FinishBenchMain(cli, &report);

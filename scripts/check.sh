@@ -5,12 +5,12 @@
 # crash-safety torture and recovery labels (the torture label includes the
 # exhaustive crash-point sweep: one crashed run per disk operation for every
 # maintenance strategy) and the wire-protocol chaos label, then a
-# thread-sanitized build running the suites that start threads (tsan label:
-# the ParallelFor runner and the owner check) and the chaos suites again
-# under TSan. The observability sinks are single-owner and their suites
-# start no thread, so they run in the plain and ASan lanes only. The full
-# lane also runs the bench_diff gate against all five committed baselines
-# and the wall-clock benchmark's self-check (perfbench/selfcheck.py).
+# thread-sanitized build running the one suite that starts threads (tsan
+# label: the owner check). Every engine, sink, sweep and oracle runs on one
+# thread, so every other suite runs in the plain and ASan lanes only. The
+# full lane also runs the bench_diff gate against all five committed
+# baselines and the wall-clock benchmark's self-check
+# (perfbench/selfcheck.py).
 #
 # Usage: scripts/check.sh [--quick]
 #   --quick   plain build only (skip the sanitizer builds, torture label and
@@ -39,24 +39,24 @@ echo "== bench regression gate (bench_diff vs committed baselines) =="
 # threshold: any cost metric growing past it (or any metric/run/table going
 # missing) fails the check. The sweeps are deterministic, so a clean tree
 # diffs clean; an intentional perf change ships with regenerated baselines.
-./build/bench/bench_sim_validation --json build/BENCH_sim_validation.new.json \
-  --jobs "$jobs" >/dev/null
+./build/bench/bench_sim_validation \
+  --json build/BENCH_sim_validation.new.json >/dev/null
 ./build/bench/bench_diff BENCH_sim_validation.json \
   build/BENCH_sim_validation.new.json --threshold 5%
-./build/bench/bench_sim_sweeps --json build/BENCH_sim_sweeps.new.json \
-  --jobs "$jobs" >/dev/null
+./build/bench/bench_sim_sweeps \
+  --json build/BENCH_sim_sweeps.new.json >/dev/null
 ./build/bench/bench_diff BENCH_sim_sweeps.json \
   build/BENCH_sim_sweeps.new.json --threshold 5%
-./build/bench/bench_fault_sweep --json build/BENCH_fault_sweep.new.json \
-  --jobs "$jobs" >/dev/null
+./build/bench/bench_fault_sweep \
+  --json build/BENCH_fault_sweep.new.json >/dev/null
 ./build/bench/bench_diff BENCH_fault_sweep.json \
   build/BENCH_fault_sweep.new.json --threshold 5%
-./build/bench/bench_server --json build/BENCH_server.new.json \
-  --jobs "$jobs" >/dev/null
+./build/bench/bench_server \
+  --json build/BENCH_server.new.json >/dev/null
 ./build/bench/bench_diff BENCH_server.json \
   build/BENCH_server.new.json --threshold 5%
-./build/bench/bench_chaos --json build/BENCH_chaos.new.json \
-  --jobs "$jobs" >/dev/null
+./build/bench/bench_chaos \
+  --json build/BENCH_chaos.new.json >/dev/null
 ./build/bench/bench_diff BENCH_chaos.json \
   build/BENCH_chaos.new.json --threshold 5%
 
@@ -84,9 +84,7 @@ ctest --test-dir build-asan --output-on-failure -L chaos
 echo "== thread-sanitized build =="
 cmake -S . -B build-tsan -DVIEWMAT_SANITIZE="thread" >/dev/null
 cmake --build build-tsan -j "$jobs"
-echo "== thread-sanitized thread-starting suites (tsan label) =="
+echo "== thread-sanitized thread-starting suite (tsan label) =="
 ctest --test-dir build-tsan --output-on-failure -L tsan
-echo "== thread-sanitized chaos suites (oracle fan-out under TSan) =="
-ctest --test-dir build-tsan --output-on-failure -L chaos
 
 echo "check.sh: OK"

@@ -12,8 +12,8 @@
 # check.sh's 5% regression gate is the looser, everyday check.
 #
 # With --parent <build-dir> (a build of the tree the change starts from) it
-# also runs every bench target bench/CMakeLists.txt defines, in full mode at
-# --jobs 1, from both build directories, diffs their stdout, and fails
+# also runs every bench target bench/CMakeLists.txt defines, in full mode,
+# from both build directories, diffs their stdout, and fails
 # naming the first bench whose output differs. Skipped: bench_yao_micro
 # (prints wall-clock nanoseconds), bench_diff and bench_schema_check (tools,
 # not benches). This covers the benches whose output is in no committed
@@ -39,7 +39,7 @@ cmake --build build -j "$jobs" >/dev/null
 clean=1
 for bench in sim_validation sim_sweeps fault_sweep server chaos; do
   fresh="build/BENCH_${bench}.same.json"
-  "./build/bench/bench_${bench}" --json "$fresh" --jobs "$jobs" >/dev/null
+  "./build/bench/bench_${bench}" --json "$fresh" >/dev/null
   summary=$(./build/bench/bench_diff "BENCH_${bench}.json" "$fresh" \
     --threshold 0 2>&1 | tail -n 1) || true
   echo "bench_${bench}: ${summary}"
@@ -134,8 +134,8 @@ if [[ -n "$parent" ]]; then
       first=${first:-$bench}
       continue
     fi
-    "$parent/bench/$bench" --jobs 1 >"$out/$bench.parent.txt"
-    "./build/bench/$bench" --jobs 1 >"$out/$bench.tree.txt"
+    "$parent/bench/$bench" >"$out/$bench.parent.txt"
+    "./build/bench/$bench" >"$out/$bench.tree.txt"
     if cmp -s "$out/$bench.parent.txt" "$out/$bench.tree.txt"; then
       echo "$bench: stdout identical"
     else

@@ -6,7 +6,6 @@
 #include <set>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "costmodel/model1.h"
 #include "costmodel/model2.h"
 #include "costmodel/model3.h"
@@ -73,25 +72,19 @@ Strategy Winner(const CostFn& cost, const std::vector<Strategy>& candidates,
 RegionGrid ComputeRegions(const CostFn& cost,
                           const std::vector<Strategy>& candidates,
                           const Params& base, const Axis& f_axis,
-                          const Axis& p_axis, size_t jobs) {
+                          const Axis& p_axis) {
   RegionGrid grid;
   grid.f_axis = f_axis;
   grid.p_axis = p_axis;
-  // Pre-size the raster so each worker fills its own disjoint row slice;
-  // cell (fi, pj) depends only on the axis positions, never on execution
-  // order, so the grid is bit-identical at any job count.
-  grid.winners.assign(static_cast<size_t>(f_axis.count) * p_axis.count,
-                      Strategy::kDeferred);
-  common::ParallelFor(
-      jobs, static_cast<size_t>(f_axis.count), [&](size_t fi) {
-        Params pt = base;
-        pt.f = f_axis.At(static_cast<int>(fi));
-        for (int pj = 0; pj < p_axis.count; ++pj) {
-          const Params at_p = pt.WithUpdateProbability(p_axis.At(pj));
-          grid.winners[fi * static_cast<size_t>(p_axis.count) + pj] =
-              Winner(cost, candidates, at_p);
-        }
-      });
+  grid.winners.reserve(static_cast<size_t>(f_axis.count) * p_axis.count);
+  for (int fi = 0; fi < f_axis.count; ++fi) {
+    Params pt = base;
+    pt.f = f_axis.At(fi);
+    for (int pj = 0; pj < p_axis.count; ++pj) {
+      grid.winners.push_back(
+          Winner(cost, candidates, pt.WithUpdateProbability(p_axis.At(pj))));
+    }
+  }
   return grid;
 }
 

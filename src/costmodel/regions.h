@@ -66,13 +66,10 @@ CostFn ModelCostFn(int model);
 
 /// Rasterizes winner regions over an (f, P) grid. `base` provides every
 /// parameter other than f and P; P is applied via WithUpdateProbability.
-/// `jobs` spreads the f rows over worker threads (1 = serial, 0 = one per
-/// core); each row fills a disjoint slice of the pre-sized winner vector,
-/// so the grid is identical at any job count.
 RegionGrid ComputeRegions(const CostFn& cost,
                           const std::vector<Strategy>& candidates,
                           const Params& base, const Axis& f_axis,
-                          const Axis& p_axis, size_t jobs = 1);
+                          const Axis& p_axis);
 
 }  // namespace viewmat::costmodel
 

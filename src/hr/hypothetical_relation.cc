@@ -78,11 +78,14 @@ Status HypotheticalRelation::FindAllByKey(
     }
   }
   if (!keep_going) return Status::OK();
+  // Each pending delete hides exactly one identical base copy.
   return base_->FindAllByKey(key, [&](const db::Tuple& t) {
-    const bool deleted = std::find(pending_deletes.begin(),
-                                   pending_deletes.end(),
-                                   t) != pending_deletes.end();
-    if (deleted) return true;
+    const auto deleted =
+        std::find(pending_deletes.begin(), pending_deletes.end(), t);
+    if (deleted != pending_deletes.end()) {
+      pending_deletes.erase(deleted);
+      return true;
+    }
     return visit(t);
   });
 }
@@ -101,7 +104,8 @@ Status HypotheticalRelation::RangeScanByKey(
     return k >= lo && k <= hi;
   };
   // The pending deletes grouped by key: a scanned row is compared only
-  // with its own key's.
+  // with its own key's. Each hides exactly one identical base copy, so a
+  // matched delete is consumed (its tuple pointer cleared).
   std::vector<std::pair<int64_t, const db::Tuple*>> deletes;
   deletes.reserve(d_net.size());
   for (const db::Tuple& t : d_net) deletes.emplace_back(key_of(t), &t);
@@ -115,7 +119,10 @@ Status HypotheticalRelation::RangeScanByKey(
             deletes.begin(), deletes.end(), k,
             [](const auto& d, int64_t key) { return d.first < key; });
         for (; it != deletes.end() && it->first == k; ++it) {
-          if (*it->second == t) return true;  // a pending delete
+          if (it->second != nullptr && *it->second == t) {
+            it->second = nullptr;  // a pending delete, now used
+            return true;
+          }
         }
         keep_going = visit(t);
         return keep_going;

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/random.h"
 #include "net/faulty_network.h"
 #include "net/network.h"
@@ -377,47 +376,11 @@ StatusOr<ChaosOracleResult> RunChaosOracle(const ChaosOracleOptions& options) {
   const costmodel::Params params = sim::TortureParams(options.params);
   VIEWMAT_RETURN_IF_ERROR(params.Validate());
 
-  // Each run is a self-contained single-threaded simulation; the fan-out
-  // merges per-run tallies in run order, so any job count produces the
-  // same result.
-  struct RunOutcome {
-    ChaosOracleResult agg;
-    Status status = Status::OK();
-  };
-  std::vector<RunOutcome> outcomes = common::ParallelMap(
-      options.jobs, static_cast<size_t>(options.runs), [&](size_t run) {
-        RunOutcome out;
-        out.status =
-            RunOneChaos(options, params, static_cast<int>(run), &out.agg);
-        return out;
-      });
-
+  // Each run is a self-contained simulation that adds its tallies to the
+  // result.
   ChaosOracleResult result;
-  for (const RunOutcome& out : outcomes) {
-    VIEWMAT_RETURN_IF_ERROR(out.status);
-    const ChaosOracleResult& a = out.agg;
-    result.runs += a.runs;
-    result.acked_commits += a.acked_commits;
-    result.acked_queries += a.acked_queries;
-    result.degraded_query_acks += a.degraded_query_acks;
-    result.client_retries += a.client_retries;
-    result.redelivered_hits += a.redelivered_hits;
-    result.rejected_commits += a.rejected_commits;
-    result.ambiguous_resolved += a.ambiguous_resolved;
-    result.shed_requests += a.shed_requests;
-    result.server_crashes += a.server_crashes;
-    result.server_recoveries += a.server_recoveries;
-    result.journal_reconciled += a.journal_reconciled;
-    result.session_checkpoints += a.session_checkpoints;
-    result.messages_sent += a.messages_sent;
-    result.faults_injected += a.faults_injected;
-    result.liveness_failures += a.liveness_failures;
-    result.lost_commits += a.lost_commits;
-    result.duplicate_applications += a.duplicate_applications;
-    result.state_mismatches += a.state_mismatches;
-    result.replay_mismatches += a.replay_mismatches;
-    result.query_mismatches += a.query_mismatches;
-    result.corrupt_runs += a.corrupt_runs;
+  for (int run = 0; run < options.runs; ++run) {
+    VIEWMAT_RETURN_IF_ERROR(RunOneChaos(options, params, run, &result));
   }
   return result;
 }

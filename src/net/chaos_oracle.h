@@ -40,7 +40,6 @@ struct ChaosOracleOptions {
   ChaosProfile profile = ChaosProfile::kClean;
   uint64_t seed = 1;  ///< base seed; run r uses a derived seed
   int runs = 4;       ///< seeded runs to execute for this cell
-  size_t jobs = 1;    ///< worker fan-out across runs (merge is ordered)
   int clients = 3;
   int ops_per_client = 12;
   /// Probability an op is a commit (the rest are range queries).
@@ -105,8 +104,8 @@ struct ChaosOracleResult {
 ///  4. reads — every acknowledged query answer equals the exact expected
 ///     answer at the journal prefix it was served at.
 ///
-/// Runs fan out over `options.jobs` workers and merge in run order, so the
-/// result is identical at any worker count.
+/// The runs execute in order on the calling thread; the first one that
+/// fails ends the oracle.
 StatusOr<ChaosOracleResult> RunChaosOracle(const ChaosOracleOptions& options);
 
 }  // namespace viewmat::net

@@ -47,9 +47,7 @@ class NetworkInterface {
 /// simulation does — message deliveries, client retry timeouts, server
 /// restarts, refresh ticks — is an event in this single queue, ordered by
 /// (time, insertion sequence), so a whole run is a pure function of its
-/// seeds. `--jobs` parallelism lives strictly ABOVE this class (one
-/// Network per sweep cell), which is how chaos reports stay byte-identical
-/// at any worker count.
+/// seeds, which is how chaos reports stay byte-identical from run to run.
 ///
 /// Channels: each ordered (src, dst) pair lazily gets its own seeded
 /// latency stream (base latency + uniform jitter), so the delivery

@@ -12,7 +12,7 @@ namespace viewmat::obs {
 /// Every type here takes timestamps, never reads a wall clock: the caller
 /// passes the model time of each sample (usually CostTracker::TotalMs()).
 /// That makes time-series output exactly as deterministic as the simulation
-/// that produced it — byte-identical at any --jobs setting — and lets a
+/// that produced it — byte-identical from run to run — and lets a
 /// "one hour of traffic" experiment run in milliseconds of wall time.
 ///
 /// Windowing convention: time is divided into fixed windows of

@@ -2,13 +2,10 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "common/json.h"
 #include "common/logging.h"
-#include "common/parallel.h"
 
 #ifndef VIEWMAT_GIT_DESCRIBE
 #define VIEWMAT_GIT_DESCRIBE "unknown"
@@ -215,16 +212,9 @@ BenchCli BenchCli::Parse(int argc, char** argv) {
       cli.quick = true;
     } else if (arg == "--json" && i + 1 < argc) {
       cli.json_path = argv[++i];
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      const long parsed = std::strtol(argv[++i], nullptr, 10);
-      cli.jobs = parsed > 0 ? static_cast<size_t>(parsed) : 0;
     }
   }
   return cli;
-}
-
-size_t BenchCli::effective_jobs() const {
-  return jobs > 0 ? jobs : common::DefaultJobs();
 }
 
 std::string BenchReport::ToJson() const {
@@ -237,16 +227,13 @@ std::string BenchReport::ToJson() const {
   w.KV("git_describe", VIEWMAT_GIT_DESCRIBE);
   w.EndObject();
   w.KV("quick", quick_);
-  // How the run executed — the only block allowed to differ between runs
-  // at different --jobs settings (the determinism check strips it).
+  // How long the run took — the only block allowed to differ between two
+  // runs of the same bench (the determinism check strips it).
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
   w.Key("execution");
   w.BeginObject();
-  w.KV("jobs", static_cast<uint64_t>(jobs_));
-  w.KV("hardware_threads",
-       static_cast<uint64_t>(std::thread::hardware_concurrency()));
   w.KV("wall_seconds", wall_seconds);
   w.EndObject();
   w.Key("notes");
@@ -296,7 +283,6 @@ Status BenchReport::WriteTo(const std::string& path) const {
 }
 
 Status FinishBench(const BenchCli& cli, BenchReport* report) {
-  report->set_jobs(cli.effective_jobs());
   if (!cli.want_json()) return Status::OK();
   VIEWMAT_RETURN_IF_ERROR(report->WriteTo(cli.json_path));
   std::printf("wrote JSON report: %s\n", cli.json_path.c_str());

@@ -2,11 +2,8 @@
 
 #include <cstdio>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/random.h"
 #include "sim/oracle.h"
 
@@ -172,34 +169,21 @@ StatusOr<CrashOracleResult> RunCrashOracle(const CrashOracleOptions& options) {
         StrategyKindName(options.kind));
   }
 
-  // Exhaustive fan-out: one run per disk operation in the healthy window.
-  // Each run is fully self-contained, so tasks execute in any order on any
-  // worker; results merge in index order for bit-identical output at any
-  // job count.
-  struct RunResult {
-    Status status = Status::OK();
-    RunStats stats;
-  };
-  const size_t total = static_cast<size_t>(healthy.window_ops);
-  std::vector<RunResult> runs =
-      common::ParallelMap(options.jobs, total, [&](size_t idx) {
-        RunResult r;
-        r.status = RunOne(options, params, /*crash_at=*/idx + 1, &r.stats);
-        return r;
-      });
-
+  // Exhaustive sweep: one self-contained run per disk operation in the
+  // healthy window. The first failing run ends the oracle.
   CrashOracleResult result;
   result.crash_points = healthy.window_ops;
-  for (const RunResult& r : runs) {
-    VIEWMAT_RETURN_IF_ERROR(r.status);
-    if (r.stats.crashed) ++result.crashes_fired;
-    result.recoveries += r.stats.recoveries;
-    result.rejected_txns += r.stats.rejected_txns;
-    result.failed_queries += r.stats.failed_queries;
-    result.prefix_checks += r.stats.prefix_checks;
-    if (r.stats.divergence) ++result.divergences;
-    if (r.stats.stale_read) ++result.stale_reads;
-    if (r.stats.corrupt) ++result.corrupt_runs;
+  for (uint64_t crash_at = 1; crash_at <= healthy.window_ops; ++crash_at) {
+    RunStats stats;
+    VIEWMAT_RETURN_IF_ERROR(RunOne(options, params, crash_at, &stats));
+    if (stats.crashed) ++result.crashes_fired;
+    result.recoveries += stats.recoveries;
+    result.rejected_txns += stats.rejected_txns;
+    result.failed_queries += stats.failed_queries;
+    result.prefix_checks += stats.prefix_checks;
+    if (stats.divergence) ++result.divergences;
+    if (stats.stale_read) ++result.stale_reads;
+    if (stats.corrupt) ++result.corrupt_runs;
   }
   return result;
 }

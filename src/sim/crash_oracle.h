@@ -17,11 +17,6 @@ struct CrashOracleOptions {
   /// 1 = select-project view, 2 = join view (qm/immediate/deferred only).
   int model = 1;
   uint64_t seed = 7;
-  /// Worker threads for the crash-point fan-out (1 = serial, 0 = one per
-  /// core). Every crash point runs against its own private instance and
-  /// results merge in index order, so the result is identical at any job
-  /// count.
-  size_t jobs = 1;
   /// Operations (update transactions + view queries) per run.
   int ops_per_run = 24;
   /// Every query_every-th operation is a query; the rest are updates.

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/random.h"
 #include "sim/oracle.h"
 #include "storage/faulty_disk.h"
@@ -38,17 +37,13 @@ uint64_t RunSeed(uint64_t base, size_t rate_idx, int run_idx) {
   return x | 1;
 }
 
-struct RunOutcome {
+/// Drives one seeded run at the cell's fault rate and adds its tallies to
+/// the cell.
+Status RunOne(const FaultSweepOptions& options, const Params& params,
+              uint64_t run_seed, FaultSweepCell* cell) {
+  Random rng(run_seed);
   bool silently_stale = false;
   bool corrupt = false;
-  uint64_t rejected_txns = 0;
-  uint64_t failed_queries = 0;
-};
-
-Status RunOne(const FaultSweepOptions& options, const Params& params,
-              double fault_rate, uint64_t run_seed, FaultSweepCell* cell,
-              RunOutcome* outcome) {
-  Random rng(run_seed);
 
   StrategyDriver::Options dopt;
   dopt.kind = options.strategy;
@@ -61,8 +56,8 @@ Status RunOne(const FaultSweepOptions& options, const Params& params,
   ShadowOracle shadow = MakeShadow(*driver->scenario());
 
   // Arm the failure model (the driver loaded everything healthy).
-  disk.set_read_fault_rate(fault_rate);
-  disk.set_write_fault_rate(fault_rate);
+  disk.set_read_fault_rate(cell->fault_rate);
+  disk.set_write_fault_rate(cell->fault_rate);
   disk.set_torn_writes(true);
   disk.set_max_faults(options.fault_budget);
   if (options.scripted_crashes) {
@@ -88,8 +83,8 @@ Status RunOne(const FaultSweepOptions& options, const Params& params,
       // A loud failure is acceptable under faults; a wrong answer never.
       switch (TortureQuery(driver.get(), shadow, &rng)) {
         case QueryVerdict::kExact: break;
-        case QueryVerdict::kFailed: ++outcome->failed_queries; break;
-        case QueryVerdict::kStale: outcome->silently_stale = true; break;
+        case QueryVerdict::kFailed: ++cell->failed_queries; break;
+        case QueryVerdict::kStale: silently_stale = true; break;
       }
       continue;
     }
@@ -99,11 +94,11 @@ Status RunOne(const FaultSweepOptions& options, const Params& params,
     const TortureUpdateOutcome update = TortureUpdate(
         driver.get(), &shadow, &rng, l, kMaxResolveAttempts);
     if (update.unresolved) {
-      outcome->corrupt = true;
+      corrupt = true;
       break;
     }
     if (update.committed) continue;
-    ++outcome->rejected_txns;
+    ++cell->rejected_txns;
     if (!update.ambiguous) {
       // Rejected before a transaction id was even issued: no commit
       // record can exist. Best-effort recovery keeps the system live (an
@@ -123,9 +118,12 @@ Status RunOne(const FaultSweepOptions& options, const Params& params,
     converged = driver->Converge();
   }
   if (!converged.ok() || !CheckGolden(driver.get(), shadow).ok()) {
-    outcome->corrupt = true;
+    corrupt = true;
   }
 
+  ++cell->runs;
+  if (silently_stale) ++cell->silently_stale_runs;
+  if (corrupt) ++cell->corrupt_runs;
   cell->faults_injected += disk.faults_injected();
   cell->crashes += disk.crashes();
   cell->recoveries += driver->recoveries();
@@ -180,48 +178,18 @@ StatusOr<FaultSweepResult> SimulateFaultSweep(const FaultSweepOptions& options) 
     }
   }
 
-  // One task per (rate, run): every run is fully self-contained (its own
-  // disk, pool, strategy, and oracle) with a seed derived from the task
-  // index, so the tasks can execute in any order on any worker. Results
-  // merge in index order below, making the sweep bit-identical at any
-  // job count — including errors, where the lowest-index failure wins.
-  struct RunResult {
-    Status status = Status::OK();
-    FaultSweepCell delta;
-    RunOutcome outcome;
-  };
-  const size_t runs_per_rate = static_cast<size_t>(options.runs_per_rate);
-  const size_t total_tasks = options.fault_rates.size() * runs_per_rate;
-  std::vector<RunResult> run_results =
-      common::ParallelMap(options.jobs, total_tasks, [&](size_t idx) {
-        const size_t rate_idx = idx / runs_per_rate;
-        const int run = static_cast<int>(idx % runs_per_rate);
-        RunResult r;
-        r.status = RunOne(options, params, options.fault_rates[rate_idx],
-                          RunSeed(options.seed, rate_idx, run), &r.delta,
-                          &r.outcome);
-        return r;
-      });
-  for (const RunResult& r : run_results) {
-    VIEWMAT_RETURN_IF_ERROR(r.status);
-  }
-
+  // Every run is self-contained (its own disk, pool, strategy and oracle)
+  // with a seed derived from (sweep seed, rate index, run index). The first
+  // failing run ends the sweep.
   FaultSweepResult result;
   for (size_t rate_idx = 0; rate_idx < options.fault_rates.size();
        ++rate_idx) {
     FaultSweepCell cell;
     cell.fault_rate = options.fault_rates[rate_idx];
-    for (size_t run = 0; run < runs_per_rate; ++run) {
-      const RunResult& r = run_results[rate_idx * runs_per_rate + run];
-      ++cell.runs;
-      cell.faults_injected += r.delta.faults_injected;
-      cell.crashes += r.delta.crashes;
-      cell.recoveries += r.delta.recoveries;
-      cell.degraded_queries += r.delta.degraded_queries;
-      cell.rejected_txns += r.outcome.rejected_txns;
-      cell.failed_queries += r.outcome.failed_queries;
-      if (r.outcome.silently_stale) ++cell.silently_stale_runs;
-      if (r.outcome.corrupt) ++cell.corrupt_runs;
+    for (int run = 0; run < options.runs_per_rate; ++run) {
+      VIEWMAT_RETURN_IF_ERROR(RunOne(options, params,
+                                     RunSeed(options.seed, rate_idx, run),
+                                     &cell));
     }
     result.total_runs += cell.runs;
     result.total_silently_stale += cell.silently_stale_runs;

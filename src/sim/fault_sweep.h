@@ -20,11 +20,6 @@ struct FaultSweepOptions {
   StrategyKind strategy = StrategyKind::kDeferred;
   /// 1 = select-project view, 2 = join view (qm/immediate/deferred only).
   int model = 1;
-  /// Worker threads for the sweep (1 = serial, 0 = one per core). Every
-  /// run derives its seed from (sweep seed, rate index, run index) and
-  /// runs against its own private instance, and results merge in index
-  /// order, so the result is identical at any job count.
-  size_t jobs = 1;
   /// Probability per disk read/write of an injected transient fault (0 =
   /// crash-only row when scripted_crashes is on).
   std::vector<double> fault_rates = {0.0, 0.01, 0.03, 0.08};

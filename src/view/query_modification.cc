@@ -77,13 +77,21 @@ Status QmJoinStrategy::Query(int64_t lo, int64_t hi,
   const obs::ScopedSpan span(storage::TracerOf(tracker_), "query");
   // Nested loops: outer = clustered scan of R1 restricted to the queried
   // key range; inner = hash probe into R2 per surviving outer tuple.
+  // A failed R2 probe ends the scan and surfaces, never drops the row.
+  Status inner = Status::OK();
   db::Tuple value;
-  return def_.r1->RangeScanByKey(lo, hi, [&](const db::Tuple& r1_tuple) {
-    if (tracker_ != nullptr) tracker_->ChargeTupleCpu();  // screen vs C_f
-    auto mapped = def_.MapTuple(r1_tuple, &value, tracker_);
-    if (!mapped.ok() || !*mapped) return true;
-    return visit(value, 1);
-  });
+  VIEWMAT_RETURN_IF_ERROR(
+      def_.r1->RangeScanByKey(lo, hi, [&](const db::Tuple& r1_tuple) {
+        if (tracker_ != nullptr) tracker_->ChargeTupleCpu();  // screen vs C_f
+        auto mapped = def_.MapTuple(r1_tuple, &value, tracker_);
+        if (!mapped.ok()) {
+          inner = mapped.status();
+          return false;
+        }
+        if (!*mapped) return true;
+        return visit(value, 1);
+      }));
+  return inner;
 }
 
 }  // namespace viewmat::view

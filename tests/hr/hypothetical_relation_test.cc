@@ -183,6 +183,52 @@ TEST_F(HypotheticalRelationTest, RangeScanEarlyStopAndEmptyRange) {
   EXPECT_EQ(visits, 0);
 }
 
+TEST_F(HypotheticalRelationTest, EachPendingDeleteHidesOneIdenticalCopy) {
+  // Keys 7 and 8 each hold two identical base rows. Key 7 gets one pending
+  // delete, key 8 two: both scans must hide one copy per delete, and agree
+  // with the base once the differential is folded into it.
+  ASSERT_TRUE(base_.Insert(Row(7, 70)).ok());
+  ASSERT_TRUE(base_.Insert(Row(8, 80)).ok());
+  hr_ = std::make_unique<HypotheticalRelation>(&base_,
+                                               AdFile::Options{4, 256, 0.01});
+  db::NetChange del;
+  del.AddDelete(Row(7, 70));
+  del.AddDelete(Row(8, 80));
+  del.AddDelete(Row(8, 80));
+  ASSERT_TRUE(hr_->RecordChanges(del).ok());
+  EXPECT_EQ(hr_->visible_tuple_count(), 99u);
+
+  auto scanned = [&](int64_t key) {
+    std::vector<db::Tuple> out;
+    VIEWMAT_CHECK(hr_->RangeScanByKey(key, key, [&](const db::Tuple& t) {
+      out.push_back(t);
+      return true;
+    }).ok());
+    return out;
+  };
+  auto in_base = [&](int64_t key) {
+    std::vector<db::Tuple> out;
+    VIEWMAT_CHECK(base_.FindAllByKey(key, [&](const db::Tuple& t) {
+      out.push_back(t);
+      return true;
+    }).ok());
+    return out;
+  };
+  const std::vector<db::Tuple> one_copy = {Row(7, 70)};
+  EXPECT_EQ(VisibleAt(7), one_copy);
+  EXPECT_EQ(scanned(7), one_copy);
+  EXPECT_TRUE(VisibleAt(8).empty());
+  EXPECT_TRUE(scanned(8).empty());
+
+  ASSERT_TRUE(hr_->Fold(nullptr, nullptr).ok());
+  EXPECT_EQ(in_base(7), one_copy);
+  EXPECT_TRUE(in_base(8).empty());
+  EXPECT_EQ(VisibleAt(7), one_copy);
+  EXPECT_EQ(scanned(7), one_copy);
+  EXPECT_TRUE(scanned(8).empty());
+  EXPECT_EQ(hr_->visible_tuple_count(), 99u);
+}
+
 TEST_F(HypotheticalRelationTest, RandomHistoryMatchesEagerApplication) {
   // Property 4 of DESIGN.md: reads through the HR equal reads from an
   // eagerly-updated twin relation, across random multi-transaction

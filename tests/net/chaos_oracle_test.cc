@@ -22,7 +22,6 @@ ChaosOracleResult RunCell(ChaosProfile profile, StrategyKind kind,
   options.model = model;
   options.seed = 101;
   options.runs = runs;
-  options.jobs = 0;  // one worker per core; merge is in run order
   const auto result = RunChaosOracle(options);
   EXPECT_TRUE(result.ok()) << result.status().message();
   if (!result.ok()) return ChaosOracleResult();
@@ -96,17 +95,17 @@ TEST(ChaosOracleTest, JoinViewsSurviveChaosToo) {
 }
 
 TEST(ChaosOracleTest, ResultIsIdenticalAtAnyWorkerCount) {
+  // The oracle runs on one thread; two fresh runs of the same options must
+  // agree exactly.
   ChaosOracleOptions options;
   options.profile = ChaosProfile::kDrop;
   options.kind = StrategyKind::kDeferred;
   options.seed = 7;
   options.runs = 4;
-  options.jobs = 1;
-  const auto serial = RunChaosOracle(options);
-  options.jobs = 8;
-  const auto fanned = RunChaosOracle(options);
-  ASSERT_TRUE(serial.ok() && fanned.ok());
-  EXPECT_EQ(serial->ToString(), fanned->ToString());
+  const auto first = RunChaosOracle(options);
+  const auto second = RunChaosOracle(options);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(first->ToString(), second->ToString());
 }
 
 TEST(ChaosOracleTest, RejectsBadOptions) {

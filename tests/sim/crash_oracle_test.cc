@@ -20,7 +20,6 @@ CrashOracleResult RunExhaustive(StrategyKind kind, int model,
   options.kind = kind;
   options.model = model;
   options.seed = 97;
-  options.jobs = 0;  // one worker per core; results merge in index order
   options.ops_per_run = 12;
   options.query_every = 4;
   options.checkpoint_every = checkpoint_every;
@@ -120,9 +119,7 @@ TEST(CrashOracleTest, OracleIsDeterministicForAGivenSeed) {
   options.kind = StrategyKind::kImmediate;
   options.seed = 41;
   options.ops_per_run = 8;
-  options.jobs = 0;
   const auto a = RunCrashOracle(options);
-  options.jobs = 1;
   const auto b = RunCrashOracle(options);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->crash_points, b->crash_points);

@@ -221,6 +221,39 @@ TEST_F(StrategyFaultInjectionTest, QmSurfacesMidQueryFault) {
   EXPECT_EQ(db_.QueryAll(&s), ExpectedSp());
 }
 
+TEST_F(StrategyFaultInjectionTest, QmJoinSurfacesEveryQueryReadFault) {
+  // The join answer per the fixture: (k1, v, key, w) for every k1 < kFCut.
+  std::map<db::Tuple, int64_t> full;
+  for (int64_t k = 0; k < testing::ViewTestDb::kFCut; ++k) {
+    const int64_t key = k % testing::ViewTestDb::kR2N;
+    full[db::Tuple({db::Value(k), db::Value(k * 1.0), db::Value(key),
+                    db::Value(key * 100.0)})] = 1;
+  }
+  view::QmJoinStrategy s(db_.JDef(), &db_.tracker_);
+  // A cold query only reads, so the disk-op delta counts its reads.
+  Evict();
+  const uint64_t before = db_.disk_.op_count();
+  ASSERT_EQ(db_.QueryAll(&s), full);
+  const uint64_t reads = db_.disk_.op_count() - before;
+  ASSERT_GT(reads, 2u);
+  // A fault at any one of those reads (R1 scan or R2 probe) must surface
+  // as an error or leave the answer whole, never drop a row silently.
+  for (uint64_t k = 0; k < reads; ++k) {
+    Evict();
+    db_.disk_.InjectReadFault(k);
+    std::map<db::Tuple, int64_t> got;
+    const Status st = s.Query(0, 1 << 20, [&](const db::Tuple& t, int64_t c) {
+      got[t] += c;
+      return true;
+    });
+    if (st.ok()) {
+      EXPECT_EQ(got, full) << "fault at read " << k;
+    }
+    db_.disk_.ClearFaults();
+    EXPECT_EQ(db_.QueryAll(&s), full) << "after the fault at read " << k;
+  }
+}
+
 TEST_F(StrategyFaultInjectionTest, SnapshotSurfacesMidTransactionFault) {
   view::SnapshotStrategy s(db_.SpDef(), {}, &db_.tracker_);
   ASSERT_TRUE(s.InitializeFromBase().ok());
